@@ -100,7 +100,8 @@ fn main() {
             BITS_PER_PX,
             Some(&plan),
             &mut recorder,
-        );
+        )
+        .expect("valid replay inputs");
         (report, detailed, recorder.snapshot())
     };
 

@@ -1,4 +1,4 @@
-//! Telemetry overhead baseline: `Runtime::process_frames` with the
+//! Telemetry overhead baseline: `Runtime::process_frames_recorded` with the
 //! no-op `NullRecorder` vs the accumulating `SummaryRecorder` vs the
 //! black-box `FlightRecorder` armed on top of it.
 //!
@@ -30,7 +30,7 @@ fn sample_frames(world: &kodan_geodata::World) -> Vec<FrameImage> {
         .collect()
 }
 
-/// Mean wall-clock seconds per `process_frames` batch over `reps` runs.
+/// Mean wall-clock seconds per `process_frames_recorded` batch over `reps` runs.
 fn time_batch<F: FnMut() -> R, R>(reps: u32, mut body: F) -> f64 {
     for _ in 0..2 {
         black_box(body());
@@ -45,7 +45,7 @@ fn time_batch<F: FnMut() -> R, R>(reps: u32, mut body: F) -> f64 {
 fn main() {
     banner(
         "Telemetry overhead: NullRecorder vs SummaryRecorder",
-        "Runtime::process_frames wall time, 8-frame batches (App 4, Orin 15W)",
+        "Runtime::process_frames_recorded wall time, 8-frame batches (App 4, Orin 15W)",
     );
     let world = bench_world();
     let artifacts = bench_artifacts(ModelArch::ResNet50DilatedPpm);
@@ -60,7 +60,7 @@ fn main() {
 
     let mut criterion = Criterion::default();
     criterion.bench_function("process_frames_null_recorder", |b| {
-        b.iter(|| runtime.process_frames(black_box(frames.iter())))
+        b.iter(|| runtime.process_frames_recorded(black_box(frames.iter()), &mut NullRecorder))
     });
     criterion.bench_function("process_frames_summary_recorder", |b| {
         b.iter(|| {

@@ -6,8 +6,8 @@
 //! resolved deterministically (time-sorted, satellite-index tie-break,
 //! see `kodan_cote::sim`) — and each satellite then replays its own day
 //! against the shared [`Runtime`]: sampled frames through the inference
-//! path, captures into the bounded value-aware [`DownlinkQueue`], served
-//! passes draining it highest-density first.
+//! path, then its captures and served passes through the shared
+//! [`DayReplay`].
 //!
 //! Two properties carry the design:
 //!
@@ -30,16 +30,16 @@ use crate::fleet::combine::{JournalRecord, SpillCombiner, SpillStats};
 use crate::mission::{Mission, MissionParams, SpaceEnvironment};
 use crate::par::{par_map_recorded, resolve_workers};
 use crate::plan::{ExecutionPlanner, PlanConfig};
-use crate::queue::{DownlinkQueue, QueueEntry};
-use crate::runtime::{FrameOutcome, Runtime};
+use crate::replay::DayReplay;
+use crate::runtime::Runtime;
 use kodan_cote::constellation::Constellation;
 use kodan_cote::ground::GroundSegment;
 use kodan_cote::orbit::Orbit;
 use kodan_cote::sensor::Imager;
-use kodan_cote::sim::{simulate_space_segment, ServedPass, SpaceSegmentReport};
+use kodan_cote::sim::{simulate_space_segment, SpaceSegmentReport};
 use kodan_cote::time::Duration;
 use kodan_geodata::frame::World;
-use kodan_telemetry::{CounterId, NullRecorder, Recorder, StageId};
+use kodan_telemetry::{CounterId, Recorder, StageId};
 use kodan_wire::{ArtifactStore, WireError};
 
 /// Configuration of a fleet run.
@@ -146,11 +146,6 @@ impl<'a> Fleet<'a> {
             params,
             config,
         }
-    }
-
-    /// Runs the fleet day without telemetry.
-    pub fn run(&self, store: &ArtifactStore) -> Result<FleetReport, WireError> {
-        self.run_recorded(store, &mut NullRecorder)
     }
 
     /// Runs the fleet day, spilling journals through `store` and
@@ -263,6 +258,26 @@ impl<'a> Fleet<'a> {
             frames_per_day: segment.frames_seen_per_satellite,
             capacity_fraction,
         };
+        let replay = match DayReplay::new(
+            &segment.passes,
+            sat as usize,
+            env.frame_deadline,
+            env.frames_per_day,
+            bits_per_px,
+            self.config.storage_px.max(1.0),
+            None,
+        ) {
+            Ok(replay) => replay,
+            // An imager without bits: journal an empty day rather than
+            // take the fleet down.
+            Err(_) => {
+                return vec![JournalRecord {
+                    satellite: sat,
+                    seq: 0,
+                    ..JournalRecord::default()
+                }]
+            }
+        };
 
         let mut params = self.params;
         params.sample_frames = params.sample_frames.max(1);
@@ -272,9 +287,6 @@ impl<'a> Fleet<'a> {
 
         // With planning on, each satellite plans its own day against its
         // own contact share, then re-flies the frames under the plan.
-        // With planning off the frames go straight down the ordinary
-        // path — same calls, same telemetry, byte-identical to a fleet
-        // that predates the planner.
         let mut plan_counts = (0u64, 0u64, 0u64);
         let planned_runtime;
         let runtime: &Runtime = match self.config.plan {
@@ -285,141 +297,52 @@ impl<'a> Fleet<'a> {
                     env.frame_deadline,
                     capacity_fraction,
                 );
-                let estimates = mission.estimate_frames(self.runtime, &frames);
-                let day_plan = planner.plan_day(&estimates);
-                rec.span(StageId::Planning, 0.0, day_plan.frames().len() as u64);
+                let (planned, ledger) = mission.plan_runtime(self.runtime, &planner, &frames, rec);
                 plan_counts = (
-                    day_plan.ledger.frames_on_orbit,
-                    day_plan.ledger.frames_downlink_raw,
-                    day_plan.ledger.frames_deferred,
+                    ledger.frames_on_orbit,
+                    ledger.frames_downlink_raw,
+                    ledger.frames_deferred,
                 );
-                planned_runtime = self.runtime.clone().with_plan(day_plan);
+                planned_runtime = planned;
                 &planned_runtime
             }
             None => self.runtime,
         };
 
-        let mut outcomes: Vec<FrameOutcome> = Vec::with_capacity(frames.len());
+        let mut outcomes = Vec::with_capacity(frames.len());
         let mut compute_s = 0.0;
         for (i, frame) in frames.iter().enumerate() {
-            let outcome = if self.config.plan.is_some() {
-                runtime.process_frame_indexed(frame, i as u64, rec)
-            } else {
-                runtime.process_frame_recorded(frame, rec)
-            };
+            let outcome = runtime.process_frame_indexed(frame, i as u64, rec);
             compute_s += outcome.compute.as_seconds();
             outcomes.push(outcome);
         }
         rec.span(StageId::Mission, compute_s, frames.len() as u64);
 
-        let mut records: Vec<JournalRecord> = Vec::new();
-        if outcomes.is_empty() {
-            records.push(JournalRecord {
-                satellite: sat,
-                seq: 0,
-                ..JournalRecord::default()
-            });
-            return records;
-        }
-
-        let mean_s = compute_s / outcomes.len() as f64;
-        let deadline_s = env.frame_deadline.as_seconds();
-        let processed_fraction = if mean_s <= deadline_s {
-            1.0
-        } else {
-            deadline_s / mean_s
-        };
-
-        let mut own: Vec<ServedPass> = segment
-            .passes
-            .iter()
-            .filter(|p| p.satellite == sat as usize)
-            .cloned()
-            .collect();
-        own.sort_by(|a, b| {
-            a.start
-                .seconds_since_start()
-                .total_cmp(&b.start.seconds_since_start())
+        let (passes, day) = replay.fly_day(&outcomes, rec);
+        let mut records = Vec::with_capacity(passes.len() + 1);
+        records.push(JournalRecord {
+            satellite: sat,
+            seq: 0,
+            observed_px: env.frames_per_day as f64 * px_per_frame,
+            storage_dropped_px: day.storage_dropped_px,
+            residual_px: day.residual_px,
+            shed_px: day.shed_px,
+            tiles_processed: day.tiles_processed,
+            tiles_elided: day.tiles_elided,
+            planned_on_orbit: plan_counts.0,
+            planned_raw: plan_counts.1,
+            planned_deferred: plan_counts.2,
+            ..JournalRecord::default()
         });
-
-        // The queue replay mirrors `Mission::run_detailed_faulted` on a
-        // nominal (fault-free) day, but journals every pass separately
-        // so the fleet ledger can attribute transmissions to passes.
-        let mut queue = DownlinkQueue::new(self.config.storage_px.max(1.0));
-        let mut tiles_processed = 0u64;
-        let mut tiles_elided = 0u64;
-        let mut served = 0u32;
-        let mut serve = |pass: &ServedPass,
-                         queue: &mut DownlinkQueue,
-                         records: &mut Vec<JournalRecord>| {
-            let budget_px = pass.bits() / bits_per_px;
-            let drained = queue.drain(budget_px);
-            served += 1;
+        for (seq, pass) in (1u32..).zip(&passes) {
             records.push(JournalRecord {
                 satellite: sat,
-                seq: served,
-                sent_px: drained.sent_bits,
-                sent_value_px: drained.sent_value_bits,
+                seq,
+                sent_px: pass.sent_px,
+                sent_value_px: pass.sent_value_px,
                 ..JournalRecord::default()
             });
-        };
-
-        let mut next_pass = 0usize;
-        for i in 0..env.frames_per_day {
-            let t = i as f64 * deadline_s;
-            while let Some(pass) = own.get(next_pass) {
-                if pass.start.seconds_since_start() <= t {
-                    serve(pass, &mut queue, &mut records);
-                    next_pass += 1;
-                } else {
-                    break;
-                }
-            }
-            // Frames beyond the compute budget are skipped before they
-            // reach the queue: frame i is processed iff the cumulative
-            // processed count advances at rate `processed_fraction`.
-            let before = (i as f64 * processed_fraction).floor();
-            let after = ((i as f64 + 1.0) * processed_fraction).floor();
-            if after > before {
-                let slot = (i as usize).checked_rem(outcomes.len()).unwrap_or(0);
-                let outcome = match outcomes.get(slot) {
-                    Some(o) => o,
-                    None => continue,
-                };
-                tiles_processed += outcome.tiles_processed as u64;
-                tiles_elided += outcome.tiles_elided as u64;
-                if outcome.sent_px > 0 {
-                    match QueueEntry::new(outcome.sent_px as f64, outcome.value_px as f64) {
-                        Ok(entry) => queue.push(entry),
-                        Err(_) => rec.count(CounterId::QueueEntriesRejected, 1),
-                    }
-                }
-            }
         }
-        for pass in own.iter().skip(next_pass) {
-            serve(pass, &mut queue, &mut records);
-        }
-        drop(serve);
-
-        records.insert(
-            0,
-            JournalRecord {
-                satellite: sat,
-                seq: 0,
-                observed_px: env.frames_per_day as f64 * px_per_frame,
-                storage_dropped_px: queue.dropped_bits(),
-                residual_px: queue.occupied_bits(),
-                // Nominal fleet day: no fault plan, nothing shed. The
-                // field exists so faulted fleet days fold identically.
-                shed_px: 0.0,
-                tiles_processed,
-                tiles_elided,
-                planned_on_orbit: plan_counts.0,
-                planned_raw: plan_counts.1,
-                planned_deferred: plan_counts.2,
-                ..JournalRecord::default()
-            },
-        );
         records
     }
 }
@@ -432,6 +355,7 @@ mod tests {
     use kodan_geodata::{Dataset, DatasetConfig};
     use kodan_hw::targets::HwTarget;
     use kodan_ml::zoo::ModelArch;
+    use kodan_telemetry::NullRecorder;
     use std::path::PathBuf;
 
     fn scratch_store(tag: &str) -> (PathBuf, ArtifactStore) {
@@ -480,7 +404,7 @@ mod tests {
         };
         let fleet = Fleet::new(&world, &runtime, small_params(), config);
         let (dir, store) = scratch_store("spills");
-        let report = fleet.run(&store).expect("fleet run");
+        let report = fleet.run_recorded(&store, &mut NullRecorder).expect("fleet run");
         assert_eq!(report.satellites, 4);
         assert!(report.passes_served > 0, "{report:?}");
         assert!(report.observed_px > 0.0);
@@ -507,7 +431,7 @@ mod tests {
                 plan: None,
             };
             let report = Fleet::new(&world, &runtime, small_params(), config)
-                .run(&store)
+                .run_recorded(&store, &mut NullRecorder)
                 .expect("fleet run");
             std::fs::remove_dir_all(&dir).ok();
             report
@@ -524,7 +448,7 @@ mod tests {
                 plan: None,
             };
             let report = Fleet::new(&world, &runtime, small_params(), config)
-                .run(&store)
+                .run_recorded(&store, &mut NullRecorder)
                 .expect("fleet run");
             std::fs::remove_dir_all(&dir).ok();
             assert_eq!(
@@ -552,7 +476,7 @@ mod tests {
                 plan: Some(PlanConfig::default_plan()),
             };
             let report = Fleet::new(&world, &runtime, small_params(), config)
-                .run(&store)
+                .run_recorded(&store, &mut NullRecorder)
                 .expect("fleet run");
             std::fs::remove_dir_all(&dir).ok();
             report
@@ -588,7 +512,7 @@ mod tests {
                 plan: None,
             };
             let report = Fleet::new(&world, &runtime, small_params(), config)
-                .run(&store)
+                .run_recorded(&store, &mut NullRecorder)
                 .expect("fleet run");
             std::fs::remove_dir_all(&dir).ok();
             report

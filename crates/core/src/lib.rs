@@ -67,6 +67,7 @@ pub mod par;
 pub mod pipeline;
 pub mod plan;
 pub mod queue;
+pub mod replay;
 pub mod runtime;
 pub mod selection;
 pub mod specialize;
@@ -103,6 +104,9 @@ pub enum KodanError {
     /// accounting — the mission drops the entry and continues rather
     /// than aborting on orbit.
     InvalidQueueEntry,
+    /// A day replay was asked for non-positive (or NaN) on-board storage
+    /// or bits per pixel; no queue or pass budget can be built from that.
+    InvalidReplay,
 }
 
 impl fmt::Display for KodanError {
@@ -117,6 +121,9 @@ impl fmt::Display for KodanError {
             }
             KodanError::InvalidQueueEntry => {
                 write!(f, "queue entry has a negative, non-finite or inconsistent size")
+            }
+            KodanError::InvalidReplay => {
+                write!(f, "day replay needs positive storage and bits per pixel")
             }
         }
     }

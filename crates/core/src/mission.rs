@@ -14,20 +14,19 @@
 
 use crate::dvd::DownlinkAccounting;
 use crate::plan::{ExecutionPlanner, FrameEstimate, PlacementLedger, TileEstimate};
-use crate::queue::{DownlinkQueue, QueueEntry};
+use crate::replay::DayReplay;
 use crate::runtime::{bent_pipe_frame, FrameOutcome, Runtime};
+use crate::KodanError;
 use kodan_cote::constellation::Constellation;
 use kodan_cote::ground::GroundSegment;
 use kodan_cote::orbit::Orbit;
 use kodan_cote::sensor::{capture_schedule, Imager};
 use kodan_cote::sim::{simulate_space_segment, ServedPass};
 use kodan_cote::time::Duration;
-use kodan_faults::{ContactFault, ContactOutcome, FaultPlan};
+use kodan_faults::FaultPlan;
 use kodan_geodata::frame::{FrameImage, World};
 use kodan_geodata::tile::tile_frame;
-use kodan_telemetry::{
-    CounterId, FaultKind, NullRecorder, Recorder, RecoveryKind, StageId, TelemetryEvent,
-};
+use kodan_telemetry::{CounterId, NullRecorder, Recorder, StageId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -249,7 +248,7 @@ impl<'a> Mission<'a> {
 
     /// [`Mission::run_with_runtime`] with telemetry: frame sampling and
     /// every per-frame runtime decision are reported to `recorder` (see
-    /// [`Runtime::process_frame_recorded`]). Any `Recorder` works —
+    /// [`Runtime::process_frame_indexed`]). Any `Recorder` works —
     /// summary, tape, trace builder, flight recorder — and each sees the
     /// same byte-identical stream at any worker count, which is what the
     /// `kodan trace` / `kodan health` surfaces are built on.
@@ -313,14 +312,22 @@ impl<'a> Mission<'a> {
             .collect()
     }
 
-    /// Runs a planned mission: estimate, plan, then fly the plan. See
-    /// [`Mission::run_planned_recorded`].
-    pub fn run_planned(
+    /// The plan step shared by planned missions and planned fleet
+    /// satellites: estimate `frames` on the unplanned `runtime`, plan the
+    /// day, record the `Planning` span, and return a copy of `runtime`
+    /// with the plan installed, plus the plan's ledger.
+    pub(crate) fn plan_runtime(
         &self,
         runtime: &Runtime,
         planner: &ExecutionPlanner,
-    ) -> PlannedMissionReport {
-        self.run_planned_recorded(runtime, planner, &mut NullRecorder)
+        frames: &[FrameImage],
+        recorder: &mut dyn Recorder,
+    ) -> (Runtime, PlacementLedger) {
+        let estimates = self.estimate_frames(runtime, frames);
+        let plan = planner.plan_day(&estimates);
+        let ledger = plan.ledger.clone();
+        recorder.span(StageId::Planning, 0.0, plan.frames().len() as u64);
+        (runtime.clone().with_plan(plan), ledger)
     }
 
     /// Runs a mission under an [`ExecutionPlanner`] in two passes.
@@ -346,11 +353,7 @@ impl<'a> Mission<'a> {
     ) -> PlannedMissionReport {
         let frames = self.sample_frames();
         recorder.span(StageId::FrameSampling, 0.0, frames.len() as u64);
-        let estimates = self.estimate_frames(runtime, &frames);
-        let plan = planner.plan_day(&estimates);
-        let ledger = plan.ledger.clone();
-        recorder.span(StageId::Planning, 0.0, plan.frames().len() as u64);
-        let planned = runtime.clone().with_plan(plan);
+        let (planned, ledger) = self.plan_runtime(runtime, planner, &frames, recorder);
         let (total, mean_time) = planned.process_frames_recorded(frames.iter(), recorder);
         recorder.span(StageId::Mission, total.compute.as_seconds(), frames.len() as u64);
         let report = self.summarize(SystemKind::Planned, &total, mean_time);
@@ -440,47 +443,19 @@ pub struct DetailedMissionReport {
 }
 
 impl<'a> Mission<'a> {
-    /// Replays a full day pass-by-pass through a bounded, value-aware
-    /// downlink queue (see [`crate::queue`]).
-    ///
-    /// Frame captures arrive every frame deadline; each enqueues the
-    /// (cyclically reused) outcome of one sampled frame, scaled to pixel
-    /// units. Ground passes drain the queue highest-value-density first.
-    /// `storage_px` bounds on-board storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `storage_px` is not positive or `passes` reference
-    /// other satellites (satellite index != 0 entries are ignored).
-    pub fn run_detailed(
-        &self,
-        runtime: &Runtime,
-        passes: &[ServedPass],
-        storage_px: f64,
-        bits_per_px: f64,
-    ) -> DetailedMissionReport {
-        self.run_detailed_faulted(runtime, passes, storage_px, bits_per_px, None, &mut NullRecorder)
-    }
-
-    /// [`Mission::run_detailed`] under a contact-level fault plan, with
-    /// telemetry.
-    ///
-    /// Contacts are identified by their index in the time-sorted
-    /// own-satellite pass list, so the fault hitting a given pass is a
-    /// pure function of `(plan seed, contact index)`. A dropped contact
-    /// drains nothing; a shortened or rain-faded contact drains with its
-    /// reduced capacity. Either way the queue *sheds* its lowest-density
-    /// entries by the lost capacity — giving up data the shrunken
-    /// downlink could never carry preserves storage headroom for
-    /// higher-value captures still to come.
+    /// Replays a full day pass-by-pass with [`DayReplay`]: captures every
+    /// frame deadline enqueue the (cyclically reused) outcome of one
+    /// sampled frame, scaled to pixel units, into a bounded value-aware
+    /// downlink queue, and this satellite's passes (satellite index 0)
+    /// drain it highest-value-density first. `storage_px` bounds on-board
+    /// storage; `faults` degrades contacts (see [`crate::replay`]).
     ///
     /// Frame-level faults (upsets, throttling, classify failures) are not
     /// decided here: arm them on the runtime itself with
     /// [`Runtime::with_fault_plan`], keyed by sampled-frame index.
     ///
-    /// # Panics
-    ///
-    /// Panics if `storage_px` or `bits_per_px` is not positive.
+    /// Returns [`KodanError::InvalidReplay`], before any frame is
+    /// sampled, unless `storage_px` and `bits_per_px` are positive.
     pub fn run_detailed_faulted(
         &self,
         runtime: &Runtime,
@@ -489,166 +464,32 @@ impl<'a> Mission<'a> {
         bits_per_px: f64,
         faults: Option<&FaultPlan>,
         recorder: &mut dyn Recorder,
-    ) -> DetailedMissionReport {
-        assert!(storage_px > 0.0, "storage must be positive");
-        assert!(bits_per_px > 0.0, "pixels must have bits");
-        let frames = self.sample_frames();
-        let outcomes: Vec<FrameOutcome> = runtime.frame_outcomes(&frames);
-        let mean_time = outcomes
-            .iter()
-            .fold(Duration::ZERO, |acc, o| acc + o.compute)
-            / outcomes.len() as f64;
-        let processed_fraction = if mean_time <= self.env.frame_deadline {
-            1.0
-        } else {
-            self.env.frame_deadline / mean_time
-        };
-
-        // Build the day's event timeline: captures at every deadline,
-        // drains at each pass start (own satellite only).
-        let deadline_s = self.env.frame_deadline.as_seconds();
-        let mut queue = DownlinkQueue::new(storage_px);
-        let mut own_passes: Vec<ServedPass> =
-            passes.iter().filter(|p| p.satellite == 0).cloned().collect();
-        own_passes.sort_by(|a, b| {
-            a.start
-                .seconds_since_start()
-                .total_cmp(&b.start.seconds_since_start())
-        });
-        let contacts: Vec<ContactOutcome> = match faults {
-            Some(plan) => plan.degrade_passes(&own_passes),
-            None => own_passes
-                .iter()
-                .map(|p| ContactOutcome {
-                    pass: Some(p.clone()),
-                    fault: ContactFault::none(),
-                    lost_bits: 0.0,
-                })
-                .collect(),
-        };
-
-        let mut sent_px = 0.0;
-        let mut sent_value_px = 0.0;
-        let mut shed_px = 0.0;
-        let mut contacts_dropped = 0u64;
-        let mut contacts_shortened = 0u64;
-        let mut serve = |contact: &ContactOutcome,
-                         queue: &mut DownlinkQueue,
-                         sent_px: &mut f64,
-                         sent_value_px: &mut f64,
-                         shed_px: &mut f64,
-                         recorder: &mut dyn Recorder| {
-            if let Some(p) = &contact.pass {
-                let budget_px = p.bits() / bits_per_px;
-                let r = queue.drain(budget_px);
-                *sent_px += r.sent_bits;
-                *sent_value_px += r.sent_value_bits;
-            }
-            let fault = contact.fault;
-            if fault.dropped {
-                contacts_dropped += 1;
-                recorder.count(CounterId::FaultContactsDropped, 1);
-                recorder.event(TelemetryEvent::FaultInjected {
-                    kind: FaultKind::ContactDrop,
-                });
-            } else {
-                if fault.keep_fraction < 1.0 {
-                    contacts_shortened += 1;
-                    recorder.count(CounterId::FaultContactsShortened, 1);
-                    recorder.event(TelemetryEvent::FaultInjected {
-                        kind: FaultKind::ContactShorten,
-                    });
-                }
-                if fault.fade_db > 0.0 {
-                    recorder.event(TelemetryEvent::FaultInjected {
-                        kind: FaultKind::RainFade,
-                    });
-                }
-            }
-            if contact.lost_bits > 0.0 {
-                let shed = queue.shed_lowest(contact.lost_bits / bits_per_px);
-                if shed.entries_shed > 0 {
-                    *shed_px += shed.shed_bits;
-                    recorder.count(CounterId::QueueEntriesShed, shed.entries_shed as u64);
-                    recorder.event(TelemetryEvent::FaultRecovered {
-                        kind: RecoveryKind::QueueShed,
-                    });
-                }
-            }
-        };
-
-        let mut next_contact = 0usize;
-        let frame_count = self.env.frames_per_day;
-        for i in 0..frame_count {
-            let t = i as f64 * deadline_s;
-            // Serve any contacts that started before this capture.
-            while let Some(contact) = contacts.get(next_contact) {
-                let starts = own_passes
-                    .get(next_contact)
-                    .map_or(f64::INFINITY, |p| p.start.seconds_since_start());
-                if starts <= t {
-                    serve(
-                        contact,
-                        &mut queue,
-                        &mut sent_px,
-                        &mut sent_value_px,
-                        &mut shed_px,
-                        recorder,
-                    );
-                    next_contact += 1;
-                } else {
-                    break;
-                }
-            }
-            // Frames beyond the compute budget are skipped (dropped
-            // before reaching the queue): process frame i iff the
-            // cumulative processed count advances at rate phi.
-            let processed_before = ((i as f64) * processed_fraction).floor();
-            let processed_after = ((i as f64 + 1.0) * processed_fraction).floor();
-            if processed_after > processed_before {
-                let slot = (i as usize).checked_rem(outcomes.len()).unwrap_or(0);
-                let o = match outcomes.get(slot) {
-                    Some(o) => o,
-                    None => continue,
-                };
-                if o.sent_px > 0 {
-                    // A corrupt outcome (injected or numeric) must not
-                    // take the mission down: drop the entry, count it,
-                    // and keep flying.
-                    match QueueEntry::new(o.sent_px as f64, o.value_px as f64) {
-                        Ok(entry) => queue.push(entry),
-                        Err(_) => recorder.count(CounterId::QueueEntriesRejected, 1),
-                    }
-                }
-            }
-        }
-        // Remaining contacts after the last capture.
-        for contact in contacts.iter().skip(next_contact) {
-            serve(
-                contact,
-                &mut queue,
-                &mut sent_px,
-                &mut sent_value_px,
-                &mut shed_px,
-                recorder,
-            );
-        }
-        drop(serve);
-
-        DetailedMissionReport {
-            sent_px,
-            sent_value_px,
-            storage_dropped_px: queue.dropped_bits(),
-            residual_px: queue.occupied_bits(),
-            transmitted_density: if sent_px > 0.0 {
-                sent_value_px / sent_px
+    ) -> Result<DetailedMissionReport, KodanError> {
+        let replay = DayReplay::new(
+            passes,
+            0,
+            self.env.frame_deadline,
+            self.env.frames_per_day,
+            bits_per_px,
+            storage_px,
+            faults,
+        )?;
+        let outcomes = runtime.frame_outcomes(&self.sample_frames());
+        let (_, day) = replay.fly_day(&outcomes, recorder);
+        Ok(DetailedMissionReport {
+            sent_px: day.sent_px,
+            sent_value_px: day.sent_value_px,
+            storage_dropped_px: day.storage_dropped_px,
+            residual_px: day.residual_px,
+            transmitted_density: if day.sent_px > 0.0 {
+                day.sent_value_px / day.sent_px
             } else {
                 0.0
             },
-            shed_px,
-            contacts_dropped,
-            contacts_shortened,
-        }
+            shed_px: day.shed_px,
+            contacts_dropped: day.contacts_dropped,
+            contacts_shortened: day.contacts_shortened,
+        })
     }
 }
 
@@ -819,7 +660,9 @@ mod tests {
         let aggregate = mission.run_with_runtime(&runtime, SystemKind::Kodan);
 
         let bits_per_px = env.imager.frame_bits() / (132.0 * 132.0);
-        let detailed = mission.run_detailed(&runtime, &report.passes, 1e9, bits_per_px);
+        let detailed = mission
+            .run_detailed_faulted(&runtime, &report.passes, 1e9, bits_per_px, None, &mut NullRecorder)
+            .expect("valid replay inputs");
         assert!(detailed.sent_px > 0.0);
         assert!(
             (detailed.transmitted_density - aggregate.dvd).abs() < 0.2,
@@ -828,9 +671,27 @@ mod tests {
             aggregate.dvd
         );
         // Conservation: transmitted + dropped + residual is what was
-        // produced.
-        assert!(detailed.storage_dropped_px >= 0.0);
-        assert!(detailed.residual_px >= 0.0);
+        // produced (nothing is shed without a fault plan).
+        let outcomes = runtime.frame_outcomes(&mission.sample_frames());
+        let replay = DayReplay::new(
+            &report.passes,
+            0,
+            env.frame_deadline,
+            env.frames_per_day,
+            bits_per_px,
+            1e9,
+            None,
+        )
+        .expect("valid replay inputs");
+        let (_, day) = replay.fly_day(&outcomes, &mut NullRecorder);
+        assert_eq!(day.sent_px, detailed.sent_px);
+        assert_eq!(day.shed_px, 0.0);
+        let accounted = detailed.sent_px + detailed.storage_dropped_px + detailed.residual_px;
+        assert!(
+            (accounted - day.enqueued_px).abs() <= 1e-9 * day.enqueued_px,
+            "accounted {accounted} vs produced {}",
+            day.enqueued_px
+        );
     }
 
     #[test]
@@ -853,8 +714,20 @@ mod tests {
         let runtime = Runtime::new(logic, a.engine.clone());
         let mission = Mission::new(&env, &world, params());
         let bits_per_px = env.imager.frame_bits() / (132.0 * 132.0);
-        let roomy = mission.run_detailed(&runtime, &report.passes, 1e9, bits_per_px);
-        let tight = mission.run_detailed(&runtime, &report.passes, 4.0e4, bits_per_px);
+        let detailed = |storage_px: f64| {
+            mission
+                .run_detailed_faulted(
+                    &runtime,
+                    &report.passes,
+                    storage_px,
+                    bits_per_px,
+                    None,
+                    &mut NullRecorder,
+                )
+                .expect("valid replay inputs")
+        };
+        let roomy = detailed(1e9);
+        let tight = detailed(4.0e4);
         assert!(tight.storage_dropped_px > roomy.storage_dropped_px);
         // The value-aware queue preferentially keeps high-value data, so
         // transmitted density does not collapse under storage pressure.

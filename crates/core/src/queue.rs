@@ -4,15 +4,10 @@
 //! contact. The queue is value-aware: entries drain highest
 //! value-density first, and when storage fills, the lowest-density
 //! entries are evicted — so a saturated downlink and finite storage both
-//! preferentially preserve high-value data.
-//!
-//! [`drain_over_passes`] replays a queue against the contention-resolved
-//! passes from `kodan-cote`, giving a pass-by-pass account of what
-//! reaches the ground (the fine-grained counterpart of the aggregate
-//! capacity model in [`crate::mission`]).
+//! preferentially preserve high-value data. The day that fills and
+//! drains it pass by pass is [`crate::replay::DayReplay`].
 
 use crate::KodanError;
-use kodan_cote::sim::ServedPass;
 use serde::{Deserialize, Serialize};
 
 /// One queued downlink entry (typically: the kept pixels of one tile).
@@ -55,8 +50,8 @@ impl QueueEntry {
 /// whose final bit left the queue during this drain. An entry split
 /// across passes is invisible in the pass that starts it and counted by
 /// the pass that finishes it, so summing reports over a pass sequence
-/// (as [`drain_over_passes`] does) counts every fully-transmitted entry
-/// exactly once and never double-counts a split.
+/// counts every fully-transmitted entry exactly once and never
+/// double-counts a split.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct DrainReport {
     /// Bits transmitted.
@@ -293,19 +288,6 @@ pub struct ShedReport {
     pub entries_shed: usize,
 }
 
-/// Replays a queue's contents through a sequence of contention-resolved
-/// ground passes, returning the aggregate drain report.
-pub fn drain_over_passes(queue: &mut DownlinkQueue, passes: &[ServedPass]) -> DrainReport {
-    let mut total = DrainReport::default();
-    for pass in passes {
-        let r = queue.drain(pass.bits());
-        total.sent_bits += r.sent_bits;
-        total.sent_value_bits += r.sent_value_bits;
-        total.entries_sent += r.entries_sent;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,7 +401,12 @@ mod tests {
         for i in 0..1000 {
             q.push(entry(1e8, 0.3 + 0.6 * (i % 7) as f64 / 7.0));
         }
-        let drained = drain_over_passes(&mut q, &report.passes);
+        let mut drained = DrainReport::default();
+        for pass in &report.passes {
+            let r = q.drain(pass.bits());
+            drained.sent_bits += r.sent_bits;
+            drained.sent_value_bits += r.sent_value_bits;
+        }
         assert!(drained.sent_bits > 0.0);
         assert!(drained.sent_bits <= report.capacity_bits + 1e-3);
         // Value density of what went down exceeds the queue average

@@ -219,7 +219,7 @@ impl Runtime {
         self.faults.as_ref().map(|f| &f.plan)
     }
 
-    /// Pins the worker count used by [`Runtime::process_frames`]; `0`
+    /// Pins the worker count used by [`Runtime::process_frames_recorded`]; `0`
     /// means auto-detect. Worker count only changes wall-clock time —
     /// outcomes and telemetry are bit-identical for any value.
     pub fn with_workers(mut self, workers: usize) -> Runtime {
@@ -237,38 +237,17 @@ impl Runtime {
         &self.logic
     }
 
-    /// Processes one frame: tile, classify context, act.
+    /// Processes one frame — tile, classify context, act — at
+    /// `frame_index` in the mission's capture order. Every decision
+    /// point (tiling, per-tile classification, the elision/process
+    /// action, model invocation, and the frame's pixel accounting) is
+    /// reported to `recorder`; with a [`NullRecorder`] this is the plain
+    /// hot path.
     ///
-    /// # Panics
-    ///
-    /// Panics if the frame dimension is not divisible by the selected
-    /// grid.
-    pub fn process_frame(&self, frame: &FrameImage) -> FrameOutcome {
-        self.process_frame_recorded(frame, &mut NullRecorder)
-    }
-
-    /// [`Runtime::process_frame`] with telemetry: every decision point —
-    /// tiling, per-tile classification, the elision/process action, model
-    /// invocation, and the frame's pixel accounting — is reported to
-    /// `recorder`. With a [`NullRecorder`] this is the plain hot path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame dimension is not divisible by the selected
-    /// grid.
-    pub fn process_frame_recorded(
-        &self,
-        frame: &FrameImage,
-        recorder: &mut dyn Recorder,
-    ) -> FrameOutcome {
-        self.process_frame_indexed(frame, 0, recorder)
-    }
-
-    /// [`Runtime::process_frame_recorded`] for the frame at `frame_index`
-    /// in the mission's capture order. The index is the fault-site
-    /// identity an armed [`FaultPlan`] keys its per-frame decisions on,
-    /// so the same `(plan seed, frame index)` pair yields the same faults
-    /// at any worker count. Without an armed plan the index is inert.
+    /// The index is the identity an installed [`DayPlan`] and an armed
+    /// [`FaultPlan`] key their per-frame decisions on, so the same
+    /// `(plan seed, frame index)` pair yields the same faults at any
+    /// worker count. Without either plan the index is inert.
     ///
     /// The degradation policy handles each injected fault without
     /// panicking:
@@ -652,16 +631,8 @@ impl Runtime {
     }
 
     /// Processes a set of frames and returns the aggregate outcome plus
-    /// the mean per-frame compute time.
-    pub fn process_frames<'a, I>(&self, frames: I) -> (FrameOutcome, Duration)
-    where
-        I: IntoIterator<Item = &'a FrameImage>,
-    {
-        self.process_frames_recorded(frames, &mut NullRecorder)
-    }
-
-    /// [`Runtime::process_frames`] with telemetry (see
-    /// [`Runtime::process_frame_recorded`]).
+    /// the mean per-frame compute time, reporting every frame to
+    /// `recorder` (see [`Runtime::process_frame_indexed`]).
     ///
     /// Frames are fanned out across [`Runtime::workers`] threads; the
     /// per-frame outcomes come back in frame-index order and are folded
@@ -766,7 +737,7 @@ mod tests {
     fn frame_outcome_accounting_is_conservative() {
         let (runtime, frames) = runtime_and_frames();
         for frame in &frames {
-            let o = runtime.process_frame(frame);
+            let o = runtime.process_frame_indexed(frame, 0, &mut NullRecorder);
             assert!(o.sent_px <= o.observed_px);
             assert!(o.value_px <= o.sent_px);
             assert!(o.observed_value_px <= o.observed_px);
@@ -782,7 +753,7 @@ mod tests {
     #[test]
     fn runtime_filters_better_than_bent_pipe() {
         let (runtime, frames) = runtime_and_frames();
-        let (total, _) = runtime.process_frames(frames.iter());
+        let (total, _) = runtime.process_frames_recorded(frames.iter(), &mut NullRecorder);
         let bent: u64 = frames.iter().map(|f| bent_pipe_frame(f).value_px).sum();
         let bent_sent: u64 = frames.iter().map(|f| bent_pipe_frame(f).sent_px).sum();
         let bent_precision = bent as f64 / bent_sent as f64;
@@ -797,7 +768,7 @@ mod tests {
     #[test]
     fn mean_compute_is_average_of_frames() {
         let (runtime, frames) = runtime_and_frames();
-        let (total, mean) = runtime.process_frames(frames.iter());
+        let (total, mean) = runtime.process_frames_recorded(frames.iter(), &mut NullRecorder);
         assert!(
             (mean.as_seconds() * frames.len() as f64 - total.compute.as_seconds()).abs() < 1e-9
         );
@@ -819,8 +790,8 @@ mod tests {
         let (runtime, frames) = runtime_and_frames();
         let mut recorder = kodan_telemetry::SummaryRecorder::new();
         for frame in &frames {
-            let plain = runtime.process_frame(frame);
-            let recorded = runtime.process_frame_recorded(frame, &mut recorder);
+            let plain = runtime.process_frame_indexed(frame, 0, &mut NullRecorder);
+            let recorded = runtime.process_frame_indexed(frame, 0, &mut recorder);
             assert_eq!(plain, recorded);
         }
         let snap = recorder.snapshot();
@@ -868,7 +839,7 @@ mod tests {
     #[test]
     fn processing_empty_iterator_is_safe() {
         let (runtime, _) = runtime_and_frames();
-        let (total, mean) = runtime.process_frames(std::iter::empty());
+        let (total, mean) = runtime.process_frames_recorded(std::iter::empty(), &mut NullRecorder);
         assert_eq!(total.sent_px, 0);
         assert_eq!(mean, Duration::ZERO);
     }
@@ -927,12 +898,12 @@ mod tests {
     fn parallel_frame_processing_matches_serial_exactly() {
         let (runtime, frames) = runtime_and_frames();
         let serial = runtime.clone().with_workers(1);
-        let (base_total, base_mean) = serial.process_frames(frames.iter());
+        let (base_total, base_mean) = serial.process_frames_recorded(frames.iter(), &mut NullRecorder);
         let base_outcomes = serial.frame_outcomes(&frames);
         for workers in [2, 3, 4] {
             let parallel = runtime.clone().with_workers(workers);
             assert_eq!(parallel.workers(), workers);
-            let (total, mean) = parallel.process_frames(frames.iter());
+            let (total, mean) = parallel.process_frames_recorded(frames.iter(), &mut NullRecorder);
             // Bitwise equality, not epsilon: the index-ordered fold must
             // reproduce the serial f64 accumulation exactly.
             assert_eq!(base_total, total, "workers={workers}");

@@ -1,7 +1,13 @@
-//! Property-based tests for the downlink queue: conservation, priority
-//! ordering and storage bounds must hold for arbitrary workloads.
+//! Property-based tests for the downlink queue and the day replay built
+//! on it: conservation, priority ordering and storage bounds must hold
+//! for arbitrary workloads.
 
 use kodan::queue::{DownlinkQueue, QueueEntry};
+use kodan::replay::DayReplay;
+use kodan::runtime::FrameOutcome;
+use kodan_cote::sim::ServedPass;
+use kodan_cote::time::{Duration, Epoch};
+use kodan_telemetry::TapeRecorder;
 use proptest::prelude::*;
 
 fn entry_strategy() -> impl Strategy<Value = QueueEntry> {
@@ -33,7 +39,97 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     )
 }
 
+/// A valid frame outcome: value <= sent <= observed.
+fn outcome_strategy() -> impl Strategy<Value = FrameOutcome> {
+    (0u64..5_000, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..60.0, 0usize..40, 0usize..40).prop_map(
+        |(observed, sent_frac, value_frac, compute_s, elided, processed)| {
+            let sent_px = (observed as f64 * sent_frac) as u64;
+            let value_px = (sent_px as f64 * value_frac) as u64;
+            FrameOutcome {
+                compute: Duration::from_seconds(compute_s),
+                sent_px,
+                value_px,
+                observed_px: observed,
+                observed_value_px: value_px,
+                tiles_elided: elided,
+                tiles_processed: processed,
+            }
+        },
+    )
+}
+
+/// A pass somewhere in the day, for satellite 0 or a neighbour.
+fn pass_strategy() -> impl Strategy<Value = ServedPass> {
+    (0.0f64..20_000.0, 0.0f64..900.0, 0.0f64..2_000.0, 0usize..2).prop_map(
+        |(start_s, length_s, rate_bps, satellite)| {
+            let start = Epoch::mission_start() + Duration::from_seconds(start_s);
+            ServedPass {
+                satellite,
+                station: 0,
+                start,
+                end: start + Duration::from_seconds(length_s),
+                rate_bps,
+            }
+        },
+    )
+}
+
 proptest! {
+    #[test]
+    fn day_replay_conserves_and_bounds_the_day(
+        outcomes in prop::collection::vec(outcome_strategy(), 0..8),
+        passes in prop::collection::vec(pass_strategy(), 0..12),
+        storage in 1.0f64..50_000.0,
+        frames_per_day in 0u64..1_000,
+    ) {
+        let bits_per_px = 10.0;
+        let replay = DayReplay::new(
+            &passes,
+            0,
+            Duration::from_seconds(22.0),
+            frames_per_day,
+            bits_per_px,
+            storage,
+            None,
+        )
+        .expect("positive storage and bits per pixel");
+        let mut tape = TapeRecorder::new();
+        let (rows, day) = replay.fly_day(&outcomes, &mut tape);
+
+        let own: Vec<&ServedPass> = passes.iter().filter(|p| p.satellite == 0).collect();
+        prop_assert_eq!(rows.len(), own.len());
+        let mut budget = 0.0;
+        for p in &own {
+            budget += p.bits() / bits_per_px;
+        }
+        // The per-pass rows fold, in order, to the summary.
+        let mut sent = 0.0;
+        let mut sent_value = 0.0;
+        for row in &rows {
+            prop_assert!(row.sent_value_px <= row.sent_px + 1e-6);
+            sent += row.sent_px;
+            sent_value += row.sent_value_px;
+        }
+        prop_assert_eq!(sent.to_bits(), day.sent_px.to_bits());
+        prop_assert_eq!(sent_value.to_bits(), day.sent_value_px.to_bits());
+        // Sent never exceeds what the passes could carry, value never
+        // exceeds volume.
+        prop_assert!(day.sent_px <= budget + 1e-6, "sent {} > budget {}", day.sent_px, budget);
+        prop_assert!(day.sent_value_px <= day.sent_px + 1e-6);
+        // Every enqueued pixel is sent, evicted, still queued or shed.
+        let accounted = day.sent_px + day.storage_dropped_px + day.residual_px + day.shed_px;
+        prop_assert!(
+            (accounted - day.enqueued_px).abs() <= 1e-9 * day.enqueued_px.max(1.0),
+            "accounted {} vs enqueued {}",
+            accounted,
+            day.enqueued_px
+        );
+        // A fault-free day sheds nothing and records nothing.
+        prop_assert_eq!(day.shed_px, 0.0);
+        prop_assert_eq!(day.contacts_dropped + day.contacts_shortened, 0);
+        prop_assert!(tape.is_empty(), "fault-free replay recorded {} calls", tape.len());
+    }
+
     #[test]
     fn bits_are_conserved(
         entries in prop::collection::vec(entry_strategy(), 1..60),

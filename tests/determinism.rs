@@ -12,6 +12,7 @@ use kodan_geodata::{Dataset, DatasetConfig, World};
 use kodan_hw::HwTarget;
 use kodan_ml::ModelArch;
 use kodan_telemetry::SummaryRecorder;
+use kodan_wire::digest::fnv1a64;
 
 fn small_dataset(seed: u64) -> Dataset {
     let mut cfg = DatasetConfig::small(seed);
@@ -276,14 +277,9 @@ fn fault_injected_missions_are_byte_identical_at_any_worker_count() {
         let mut recorder = SummaryRecorder::new();
         let report =
             mission.run_with_runtime_recorded(&runtime, SystemKind::Kodan, &mut recorder);
-        let detailed = mission.run_detailed_faulted(
-            &runtime,
-            &passes,
-            1.0e9,
-            100.0,
-            Some(&plan),
-            &mut recorder,
-        );
+        let detailed = mission
+            .run_detailed_faulted(&runtime, &passes, 1.0e9, 100.0, Some(&plan), &mut recorder)
+            .expect("valid replay inputs");
         (report, detailed, recorder.snapshot().to_json())
     };
 
@@ -294,6 +290,14 @@ fn fault_injected_missions_are_byte_identical_at_any_worker_count() {
         json_1.contains("fault_injected"),
         "nominal plan injected nothing over the mission"
     );
+    // Pinned digests: the detailed replay and its telemetry are the same
+    // bytes as before the day replay was unified.
+    assert_eq!(
+        fnv1a64(format!("{detailed_1:?}").as_bytes()),
+        0x9641_f6a6_3b3d_d1a6,
+        "faulted detailed report drifted: {detailed_1:?}"
+    );
+    assert_eq!(fnv1a64(json_1.as_bytes()), 0xd153_9d1b_7fd0_40ac);
     for workers in [2, 4] {
         let (report_n, detailed_n, json_n) = run(workers);
         assert_eq!(report_1, report_n, "{workers}-worker faulted mission diverged");
@@ -516,6 +520,7 @@ fn fleet_reports_and_telemetry_are_byte_identical_at_any_worker_count() {
     // ingests a globally (satellite, seq)-sorted journal stream, so
     // neither scheduling nor spill boundaries can reorder the fold.
     use kodan::fleet::{Fleet, FleetConfig};
+    use kodan::PlanConfig;
     use kodan_wire::ArtifactStore;
     use std::path::Path;
 
@@ -535,7 +540,7 @@ fn fleet_reports_and_telemetry_are_byte_identical_at_any_worker_count() {
     std::fs::remove_dir_all(&root).ok();
     let budget = 4 * kodan::fleet::combine::JournalRecord::ENCODED_BYTES;
 
-    let run = |workers: usize| {
+    let fly = |satellites: usize, workers: usize, plan: Option<PlanConfig>, tag: &str| {
         let logic = artifacts.select_with_capacity(
             HwTarget::OrinAgx15W,
             env.frame_deadline,
@@ -543,13 +548,13 @@ fn fleet_reports_and_telemetry_are_byte_identical_at_any_worker_count() {
         );
         let runtime = Runtime::new(logic, artifacts.engine.clone());
         let config = FleetConfig {
-            satellites: 24,
+            satellites,
             memtable_budget: budget,
             workers,
             storage_px: 4.0e8,
-            plan: None,
+            plan,
         };
-        let dir = root.join(format!("w{workers}"));
+        let dir = root.join(tag);
         let store = ArtifactStore::create(&dir).expect("create spill store");
         let mut recorder = SummaryRecorder::new();
         let report = Fleet::new(&world, &runtime, params, config)
@@ -557,9 +562,25 @@ fn fleet_reports_and_telemetry_are_byte_identical_at_any_worker_count() {
             .expect("fleet run succeeds");
         (report, recorder.snapshot().to_json())
     };
+    let run = |workers: usize| fly(24, workers, None, &format!("w{workers}"));
 
     let (report_1, json_1) = run(1);
     assert_eq!(report_1.satellites, 24);
+    // Pinned digests: the fleet day is the same bytes as before the day
+    // replay was unified, unplanned and planned.
+    assert_eq!(
+        fnv1a64(format!("{report_1:?}").as_bytes()),
+        0x7782_7ea2_f5f4_7160,
+        "fleet report drifted: {report_1:?}"
+    );
+    assert_eq!(fnv1a64(json_1.as_bytes()), 0x9d00_aa85_2b22_4540);
+    let (planned, planned_json) = fly(3, 1, Some(PlanConfig::default_plan()), "planned");
+    assert_eq!(
+        fnv1a64(format!("{planned:?}").as_bytes()),
+        0x8de9_25f4_fcf1_a1e9,
+        "planned fleet report drifted: {planned:?}"
+    );
+    assert_eq!(fnv1a64(planned_json.as_bytes()), 0xc429_2887_9cbf_7658);
     assert!(report_1.spill.runs > 0, "budget must force spilling");
     assert!(report_1.spill.peak_memtable_bytes <= budget);
     assert!(
@@ -679,7 +700,7 @@ fn plan_off_missions_are_untouched_by_planner_availability() {
         env.frame_deadline,
         env.capacity_fraction,
     );
-    let _ = mission.run_planned(&fresh, &planner);
+    let _ = mission.run_planned_recorded(&fresh, &planner, &mut kodan_telemetry::NullRecorder);
     let (report_after, json_after) = baseline(&fresh);
 
     assert_eq!(report_before, report_after, "plan-off mission drifted");

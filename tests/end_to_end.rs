@@ -9,6 +9,7 @@ use kodan::mission::{Mission, MissionParams, SpaceEnvironment, SystemKind};
 use kodan::runtime::Runtime;
 use kodan::selection::SelectionLogic;
 use kodan_hw::HwTarget;
+use kodan_telemetry::NullRecorder;
 
 fn mission_params() -> MissionParams {
     MissionParams {
@@ -85,7 +86,7 @@ fn kodan_runtime_output_is_precise() {
     let runtime = Runtime::new(logic, artifacts.engine.clone());
     let mission = Mission::new(&env, &world, mission_params());
     let frames = mission.sample_frames();
-    let (total, _) = runtime.process_frames(frames.iter());
+    let (total, _) = runtime.process_frames_recorded(frames.iter(), &mut NullRecorder);
     let observed_prevalence = total.observed_value_px as f64 / total.observed_px as f64;
     assert!(
         total.precision() > observed_prevalence + 0.2,
@@ -186,7 +187,7 @@ fn dropped_passes_shed_queue_instead_of_overflowing() {
     use kodan_cote::sim::ServedPass;
     use kodan_cote::time::{Duration, Epoch};
     use kodan_faults::{FaultConfig, FaultPlan};
-    use kodan_telemetry::{CounterId, NullRecorder, SummaryRecorder};
+    use kodan_telemetry::{CounterId, SummaryRecorder};
 
     let runtime = {
         let artifacts = test_artifacts();
@@ -214,15 +215,18 @@ fn dropped_passes_shed_queue_instead_of_overflowing() {
         })
         .collect();
 
-    let clean = mission.run_detailed(&runtime, &passes, 4.0e8, 100.0);
+    let clean = mission
+        .run_detailed_faulted(&runtime, &passes, 4.0e8, 100.0, None, &mut NullRecorder)
+        .expect("valid replay inputs");
 
     let mut config = FaultConfig::nominal(11);
     config.contact_drop_rate = 0.7;
     config.contact_shorten_rate = 0.5;
     let plan = FaultPlan::new(config).expect("fault config is valid");
     let mut recorder = SummaryRecorder::new();
-    let faulted =
-        mission.run_detailed_faulted(&runtime, &passes, 4.0e8, 100.0, Some(&plan), &mut recorder);
+    let faulted = mission
+        .run_detailed_faulted(&runtime, &passes, 4.0e8, 100.0, Some(&plan), &mut recorder)
+        .expect("valid replay inputs");
 
     assert!(faulted.contacts_dropped > 0, "drop_rate=0.7 over 10 passes");
     assert!(
@@ -244,9 +248,46 @@ fn dropped_passes_shed_queue_instead_of_overflowing() {
     );
     // The same plan replayed is bit-identical — contact faults key on the
     // contact index, not on anything ambient.
-    let replay =
-        mission.run_detailed_faulted(&runtime, &passes, 4.0e8, 100.0, Some(&plan), &mut NullRecorder);
+    let replay = mission
+        .run_detailed_faulted(&runtime, &passes, 4.0e8, 100.0, Some(&plan), &mut NullRecorder)
+        .expect("valid replay inputs");
     assert_eq!(faulted, replay);
+}
+
+#[test]
+fn invalid_replay_inputs_return_err() {
+    // Zero, negative and NaN storage or bits per pixel are a typed error
+    // from the day replay, checked before any frame is sampled — never
+    // a panic on the mission path.
+    use kodan::KodanError;
+
+    let artifacts = test_artifacts();
+    let env = SpaceEnvironment::fixed(0.21);
+    let world = test_world();
+    let logic = artifacts.select_with_capacity(
+        HwTarget::OrinAgx15W,
+        env.frame_deadline,
+        env.capacity_fraction,
+    );
+    let runtime = Runtime::new(logic, artifacts.engine.clone());
+    let mission = Mission::new(&env, &world, mission_params());
+    for bad in [0.0, -1.0, f64::NAN] {
+        for (storage_px, bits_per_px) in [(bad, 100.0), (4.0e8, bad)] {
+            let result = mission.run_detailed_faulted(
+                &runtime,
+                &[],
+                storage_px,
+                bits_per_px,
+                None,
+                &mut NullRecorder,
+            );
+            assert_eq!(
+                result,
+                Err(KodanError::InvalidReplay),
+                "storage {storage_px}, bits/px {bits_per_px}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -316,7 +357,7 @@ fn corrupted_artifact_store_degrades_to_the_global_model() {
     // the quarantined mission must account a fallback on every frame,
     // exactly like a runtime-detected corruption.
     use kodan::artifact::{load_artifacts, save_artifacts};
-    use kodan_telemetry::{CounterId, NullRecorder, SummaryRecorder};
+    use kodan_telemetry::{CounterId, SummaryRecorder};
     use std::path::Path;
 
     let artifacts = test_artifacts();
@@ -404,7 +445,7 @@ fn corrupted_quantized_blob_degrades_to_the_f64_reference() {
     // counted as a recovery, but with no quarantine and no mission
     // fallbacks, because the f64 master copy is intact.
     use kodan::artifact::{load_artifacts, save_artifacts};
-    use kodan_telemetry::{CounterId, NullRecorder, SummaryRecorder};
+    use kodan_telemetry::{CounterId, SummaryRecorder};
     use std::path::Path;
 
     let mut artifacts = test_artifacts().clone();
@@ -501,7 +542,6 @@ fn artifacts_inspect_reports_store_health() {
     // load-bearing pieces: deployment coordinates, per-artifact status,
     // the uplink budget line, and corruption flagging.
     use kodan::artifact::save_artifacts;
-    use kodan_telemetry::NullRecorder;
     use std::path::Path;
 
     let artifacts = test_artifacts();

@@ -670,6 +670,43 @@ fn workspace_analysis_is_byte_stable() {
 }
 
 #[test]
+fn day_replay_is_reached_from_mission_and_fleet_entries() {
+    // The capture -> queue -> pass-drain day exists once, in
+    // `DayReplay::fly_day`. Both the detailed mission and the fleet must
+    // reach it from a protected entry, so the panic and float-reduction
+    // passes check that one engine on behalf of both.
+    let analysis = analyze(workspace_root(), &default_rules()).expect("workspace scan succeeds");
+    let graph = &analysis.graph;
+    let engine = graph
+        .nodes
+        .iter()
+        .position(|n| n.display == "DayReplay::fly_day")
+        .expect("DayReplay::fly_day is in the call graph");
+    let reaches_engine = |entry: usize| {
+        let mut seen = vec![false; graph.nodes.len()];
+        let mut stack = vec![entry];
+        while let Some(node) = stack.pop() {
+            if node == engine {
+                return true;
+            }
+            if !std::mem::replace(&mut seen[node], true) {
+                stack.extend(&graph.edges[node]);
+            }
+        }
+        false
+    };
+    for prefix in ["Mission::run", "Fleet::run"] {
+        assert!(
+            graph
+                .entries
+                .iter()
+                .any(|&e| graph.nodes[e].display.starts_with(prefix) && reaches_engine(e)),
+            "DayReplay::fly_day is not reachable from any {prefix}* entry"
+        );
+    }
+}
+
+#[test]
 fn suppressions_survive_the_real_pipeline() {
     // The escape hatch documented in DESIGN.md must keep working: the
     // gate's usefulness depends on allows being honoured verbatim.
