@@ -158,7 +158,7 @@ fn main() {
             satellites,
             memtable_budget: BUDGET,
             workers,
-            storage_px: 4.0e8,
+            ..FleetConfig::default_fleet()
         };
         let mut recorder = SummaryRecorder::new();
         let report = Fleet::new(&world, &runtime, params, config)

@@ -1,4 +1,4 @@
-//! Parallel frame-processing speedup: `Runtime::process_frames_recorded` at one
+//! Parallel frame-processing speedup: `Runtime::process_frames` at one
 //! worker vs four, on an 8-frame batch.
 //!
 //! The deterministic data-parallel layer (`kodan_core::par`) promises a
@@ -17,7 +17,7 @@
 use criterion::Criterion;
 use kodan::mission::SpaceEnvironment;
 use kodan::par;
-use kodan::runtime::Runtime;
+use kodan::runtime::{FrameOutcome, Runtime};
 use kodan_bench::{banner, bench_artifacts, bench_world};
 use kodan_geodata::frame::FrameImage;
 use kodan_hw::targets::HwTarget;
@@ -67,7 +67,7 @@ fn schedule_makespan(frame_times: &[f64], workers: usize) -> f64 {
 fn main() {
     banner(
         "Parallel frame-processing speedup: 1 vs 4 workers",
-        "Runtime::process_frames_recorded wall time, 8-frame batches (App 4, Orin 15W)",
+        "Runtime::process_frames wall time, 8-frame batches (App 4, Orin 15W)",
     );
     let world = bench_world();
     let artifacts = bench_artifacts(ModelArch::ResNet50DilatedPpm);
@@ -86,8 +86,8 @@ fn main() {
     // byte-identical across worker counts.
     let snapshot_json = |workers: usize| {
         let mut recorder = SummaryRecorder::new();
-        let (outcome, mean) =
-            runtime_at(workers).process_frames_recorded(frames.iter(), &mut recorder);
+        let outcomes = runtime_at(workers).process_frames(&frames, &mut recorder);
+        let (outcome, mean) = FrameOutcome::total_and_mean(&outcomes);
         (outcome, mean, recorder.snapshot().to_json())
     };
     let (serial_outcome, serial_mean, serial_json) = snapshot_json(1);
@@ -104,15 +104,15 @@ fn main() {
     for workers in [1usize, 2, 4] {
         let runtime = runtime_at(workers);
         criterion.bench_function(&format!("process_frames_{workers}w"), |b| {
-            b.iter(|| runtime.process_frames_recorded(black_box(frames.iter()), &mut NullRecorder))
+            b.iter(|| runtime.process_frames(black_box(&frames), &mut NullRecorder))
         });
     }
 
     // Fixed-rep wall-clock measurements for the committed baseline.
     const REPS: u32 = 10;
-    let wall_1w = time_batch(REPS, || runtime_at(1).process_frames_recorded(frames.iter(), &mut NullRecorder));
-    let wall_2w = time_batch(REPS, || runtime_at(2).process_frames_recorded(frames.iter(), &mut NullRecorder));
-    let wall_4w = time_batch(REPS, || runtime_at(4).process_frames_recorded(frames.iter(), &mut NullRecorder));
+    let wall_1w = time_batch(REPS, || runtime_at(1).process_frames(&frames, &mut NullRecorder));
+    let wall_2w = time_batch(REPS, || runtime_at(2).process_frames(&frames, &mut NullRecorder));
+    let wall_4w = time_batch(REPS, || runtime_at(4).process_frames(&frames, &mut NullRecorder));
     let measured_2w = if wall_2w > 0.0 { wall_1w / wall_2w } else { 0.0 };
     let measured_4w = if wall_4w > 0.0 { wall_1w / wall_4w } else { 0.0 };
 
@@ -122,7 +122,7 @@ fn main() {
     let serial_runtime = runtime_at(1);
     let frame_times: Vec<f64> = frames
         .iter()
-        .map(|f| time_batch(REPS, || serial_runtime.process_frames_recorded(std::iter::once(f), &mut NullRecorder)))
+        .map(|f| time_batch(REPS, || serial_runtime.process_frames(std::slice::from_ref(f), &mut NullRecorder)))
         .collect();
     let serial_total: f64 = frame_times.iter().sum();
     let schedule_2w = serial_total / schedule_makespan(&frame_times, 2);

@@ -1,4 +1,4 @@
-//! Telemetry overhead baseline: `Runtime::process_frames_recorded` with the
+//! Telemetry overhead baseline: `Runtime::process_frames` with the
 //! no-op `NullRecorder` vs the accumulating `SummaryRecorder` vs the
 //! black-box `FlightRecorder` armed on top of it.
 //!
@@ -30,7 +30,7 @@ fn sample_frames(world: &kodan_geodata::World) -> Vec<FrameImage> {
         .collect()
 }
 
-/// Mean wall-clock seconds per `process_frames_recorded` batch over `reps` runs.
+/// Mean wall-clock seconds per `process_frames` batch over `reps` runs.
 fn time_batch<F: FnMut() -> R, R>(reps: u32, mut body: F) -> f64 {
     for _ in 0..2 {
         black_box(body());
@@ -45,7 +45,7 @@ fn time_batch<F: FnMut() -> R, R>(reps: u32, mut body: F) -> f64 {
 fn main() {
     banner(
         "Telemetry overhead: NullRecorder vs SummaryRecorder",
-        "Runtime::process_frames_recorded wall time, 8-frame batches (App 4, Orin 15W)",
+        "Runtime::process_frames wall time, 8-frame batches (App 4, Orin 15W)",
     );
     let world = bench_world();
     let artifacts = bench_artifacts(ModelArch::ResNet50DilatedPpm);
@@ -60,18 +60,18 @@ fn main() {
 
     let mut criterion = Criterion::default();
     criterion.bench_function("process_frames_null_recorder", |b| {
-        b.iter(|| runtime.process_frames_recorded(black_box(frames.iter()), &mut NullRecorder))
+        b.iter(|| runtime.process_frames(black_box(&frames), &mut NullRecorder))
     });
     criterion.bench_function("process_frames_summary_recorder", |b| {
         b.iter(|| {
             let mut recorder = SummaryRecorder::new();
-            runtime.process_frames_recorded(black_box(frames.iter()), &mut recorder)
+            runtime.process_frames(black_box(&frames), &mut recorder)
         })
     });
     criterion.bench_function("process_frames_flight_recorder", |b| {
         b.iter(|| {
             let mut recorder = FlightRecorder::new(SummaryRecorder::new());
-            runtime.process_frames_recorded(black_box(frames.iter()), &mut recorder)
+            runtime.process_frames(black_box(&frames), &mut recorder)
         })
     });
 
@@ -79,17 +79,17 @@ fn main() {
     // (the criterion shim prints but does not expose its timings).
     const REPS: u32 = 20;
     let null_s =
-        time_batch(REPS, || runtime.process_frames_recorded(frames.iter(), &mut NullRecorder));
+        time_batch(REPS, || runtime.process_frames(&frames, &mut NullRecorder));
     let summary_s = time_batch(REPS, || {
         let mut recorder = SummaryRecorder::new();
-        runtime.process_frames_recorded(frames.iter(), &mut recorder)
+        runtime.process_frames(&frames, &mut recorder)
     });
     // The flight recorder keeps the summary underneath and adds the
     // per-frame ring-buffer maintenance on top — the worst-case armed
     // configuration (`kodan mission` flies with exactly this stack).
     let flight_s = time_batch(REPS, || {
         let mut recorder = FlightRecorder::new(SummaryRecorder::new());
-        runtime.process_frames_recorded(frames.iter(), &mut recorder)
+        runtime.process_frames(&frames, &mut recorder)
     });
     let ratio = if null_s > 0.0 { summary_s / null_s } else { 0.0 };
     let flight_ratio = if null_s > 0.0 { flight_s / null_s } else { 0.0 };
@@ -97,7 +97,7 @@ fn main() {
     // One recorded batch, so the baseline pins the event volume the
     // overhead pays for.
     let mut recorder = SummaryRecorder::new();
-    runtime.process_frames_recorded(frames.iter(), &mut recorder);
+    runtime.process_frames(&frames, &mut recorder);
     let snapshot = recorder.snapshot();
 
     let json = format!(

@@ -417,6 +417,7 @@ pub fn mission(options: &Options) -> Result<(), String> {
     // every degradation freezes a black-box window of the frames leading
     // up to it.
     let mut recorder = FlightRecorder::new(SummaryRecorder::new());
+    let env = SpaceEnvironment::landsat(options.sats);
     let (world, artifacts, kodan_logic, quarantined) =
         if let Some(dir) = &options.load_artifacts {
             let loaded =
@@ -454,7 +455,6 @@ pub fn mission(options: &Options) -> Result<(), String> {
             )
         } else {
             let (world, artifacts) = build_artifacts_recorded(options, &mut recorder)?;
-            let env = SpaceEnvironment::landsat(options.sats);
             let logic = artifacts.select_with_capacity(
                 options.target,
                 env.frame_deadline,
@@ -462,7 +462,6 @@ pub fn mission(options: &Options) -> Result<(), String> {
             );
             (world, artifacts, logic, Vec::new())
         };
-    let env = SpaceEnvironment::landsat(options.sats);
     let mission = Mission::new(&env, &world, MissionParams::default());
 
     let bent = mission.run_bent_pipe();

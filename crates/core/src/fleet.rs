@@ -39,8 +39,13 @@ use kodan_cote::sensor::Imager;
 use kodan_cote::sim::{simulate_space_segment, SpaceSegmentReport};
 use kodan_cote::time::Duration;
 use kodan_geodata::frame::World;
-use kodan_telemetry::{CounterId, Recorder, StageId};
+use kodan_telemetry::{CounterId, Recorder};
 use kodan_wire::{ArtifactStore, WireError};
+
+/// On-board storage of every fleet satellite, pixels: ~23,000 frames
+/// at the 132 px working resolution, several days of captures, so a
+/// fleet day is bounded by its contacts, not by storage.
+pub(crate) const SATELLITE_STORAGE_PX: f64 = 4.0e8;
 
 /// Configuration of a fleet run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,8 +56,6 @@ pub struct FleetConfig {
     pub memtable_budget: u64,
     /// Worker threads (0 = auto).
     pub workers: usize,
-    /// Per-satellite on-board storage, pixels.
-    pub storage_px: f64,
     /// Per-satellite execution planning. `None` (the default) flies the
     /// ordinary on-orbit path, byte-identical to a fleet that predates
     /// the planner.
@@ -62,13 +65,12 @@ pub struct FleetConfig {
 impl FleetConfig {
     /// The default fleet: 24 satellites, an 8 KiB combiner memtable
     /// (small enough that a constellation day demonstrably spills), auto
-    /// workers, roomy on-board storage, and no placement planning.
+    /// workers, and no placement planning.
     pub fn default_fleet() -> FleetConfig {
         FleetConfig {
             satellites: 24,
             memtable_budget: 8192,
             workers: 0,
-            storage_px: 4.0e8,
             plan: None,
         }
     }
@@ -176,9 +178,13 @@ impl<'a> Fleet<'a> {
             sats.push((index as u32, *phased));
         }
 
+        // Satellites are the parallel axis: every satellite flies its
+        // estimate and planned passes on one serial copy of the shared
+        // runtime, so no satellite fans out threads of its own.
+        let serial = self.runtime.clone().with_workers(1);
         let workers = resolve_workers(self.config.workers);
         let journals = par_map_recorded(workers, &sats, recorder, |_, item, rec| {
-            self.fly_one(item.0, item.1, &segment, rec)
+            self.fly_one(&serial, item.0, item.1, &segment, rec)
         });
 
         // Serial combine in satellite-index order: the ingest sequence —
@@ -231,12 +237,13 @@ impl<'a> Fleet<'a> {
         })
     }
 
-    /// Flies one satellite's day and returns its journal: the summary
-    /// row (seq 0) followed by one row per served pass (seq k), already
-    /// in `(satellite, seq)` order so the fleet-wide ingest sequence is
+    /// Flies one satellite's day on `runtime` and returns its journal:
+    /// the summary row (seq 0) then one row per served pass (seq k), in
+    /// `(satellite, seq)` order so the fleet-wide ingest sequence is
     /// globally sorted and spill boundaries cannot reorder the fold.
     fn fly_one(
         &self,
+        runtime: &Runtime,
         sat: u32,
         orbit: Orbit,
         segment: &SpaceSegmentReport,
@@ -264,7 +271,7 @@ impl<'a> Fleet<'a> {
             env.frame_deadline,
             env.frames_per_day,
             bits_per_px,
-            self.config.storage_px.max(1.0),
+            SATELLITE_STORAGE_PX,
             None,
         ) {
             Ok(replay) => replay,
@@ -282,43 +289,19 @@ impl<'a> Fleet<'a> {
         let mut params = self.params;
         params.sample_frames = params.sample_frames.max(1);
         let mission = Mission::new(&env, self.world, params);
-        let frames = mission.sample_frames();
-        rec.span(StageId::FrameSampling, 0.0, frames.len() as u64);
-
         // With planning on, each satellite plans its own day against its
         // own contact share, then re-flies the frames under the plan.
-        let mut plan_counts = (0u64, 0u64, 0u64);
-        let planned_runtime;
-        let runtime: &Runtime = match self.config.plan {
-            Some(plan_config) => {
-                let planner = ExecutionPlanner::new(
-                    plan_config,
-                    self.runtime.logic().target(),
-                    env.frame_deadline,
-                    capacity_fraction,
-                );
-                let (planned, ledger) = mission.plan_runtime(self.runtime, &planner, &frames, rec);
-                plan_counts = (
-                    ledger.frames_on_orbit,
-                    ledger.frames_downlink_raw,
-                    ledger.frames_deferred,
-                );
-                planned_runtime = planned;
-                &planned_runtime
-            }
-            None => self.runtime,
-        };
+        let planner = self.config.plan.map(|plan_config| {
+            ExecutionPlanner::new(
+                plan_config,
+                runtime.logic().target(),
+                env.frame_deadline,
+                capacity_fraction,
+            )
+        });
+        let flight = mission.fly_frames(runtime, planner.as_ref(), rec);
 
-        let mut outcomes = Vec::with_capacity(frames.len());
-        let mut compute_s = 0.0;
-        for (i, frame) in frames.iter().enumerate() {
-            let outcome = runtime.process_frame_indexed(frame, i as u64, rec);
-            compute_s += outcome.compute.as_seconds();
-            outcomes.push(outcome);
-        }
-        rec.span(StageId::Mission, compute_s, frames.len() as u64);
-
-        let (passes, day) = replay.fly_day(&outcomes, rec);
+        let (passes, day) = replay.fly_day(&flight.outcomes, rec);
         let mut records = Vec::with_capacity(passes.len() + 1);
         records.push(JournalRecord {
             satellite: sat,
@@ -329,9 +312,9 @@ impl<'a> Fleet<'a> {
             shed_px: day.shed_px,
             tiles_processed: day.tiles_processed,
             tiles_elided: day.tiles_elided,
-            planned_on_orbit: plan_counts.0,
-            planned_raw: plan_counts.1,
-            planned_deferred: plan_counts.2,
+            planned_on_orbit: flight.ledger.frames_on_orbit,
+            planned_raw: flight.ledger.frames_downlink_raw,
+            planned_deferred: flight.ledger.frames_deferred,
             ..JournalRecord::default()
         });
         for (seq, pass) in (1u32..).zip(&passes) {
@@ -399,8 +382,7 @@ mod tests {
             satellites: 4,
             memtable_budget: 2 * JournalRecord::ENCODED_BYTES,
             workers: 1,
-            storage_px: 4.0e8,
-            plan: None,
+            ..FleetConfig::default_fleet()
         };
         let fleet = Fleet::new(&world, &runtime, small_params(), config);
         let (dir, store) = scratch_store("spills");
@@ -427,8 +409,7 @@ mod tests {
                 satellites: 3,
                 memtable_budget: 1 << 20,
                 workers: 1,
-                storage_px: 4.0e8,
-                plan: None,
+                ..FleetConfig::default_fleet()
             };
             let report = Fleet::new(&world, &runtime, small_params(), config)
                 .run_recorded(&store, &mut NullRecorder)
@@ -444,8 +425,7 @@ mod tests {
                 satellites: 3,
                 memtable_budget: budget,
                 workers,
-                storage_px: 4.0e8,
-                plan: None,
+                ..FleetConfig::default_fleet()
             };
             let report = Fleet::new(&world, &runtime, small_params(), config)
                 .run_recorded(&store, &mut NullRecorder)
@@ -472,8 +452,8 @@ mod tests {
                 satellites: 3,
                 memtable_budget: 1 << 20,
                 workers,
-                storage_px: 4.0e8,
                 plan: Some(PlanConfig::default_plan()),
+                ..FleetConfig::default_fleet()
             };
             let report = Fleet::new(&world, &runtime, small_params(), config)
                 .run_recorded(&store, &mut NullRecorder)
@@ -508,8 +488,7 @@ mod tests {
                 satellites,
                 memtable_budget: 1 << 20,
                 workers: 1,
-                storage_px: 4.0e8,
-                plan: None,
+                ..FleetConfig::default_fleet()
             };
             let report = Fleet::new(&world, &runtime, small_params(), config)
                 .run_recorded(&store, &mut NullRecorder)

@@ -15,7 +15,7 @@
 use crate::dvd::DownlinkAccounting;
 use crate::plan::{ExecutionPlanner, FrameEstimate, PlacementLedger, TileEstimate};
 use crate::replay::DayReplay;
-use crate::runtime::{bent_pipe_frame, FrameOutcome, Runtime};
+use crate::runtime::{bent_pipe_frame, tile_pixel_tally, FrameOutcome, Runtime};
 use crate::KodanError;
 use kodan_cote::constellation::Constellation;
 use kodan_cote::ground::GroundSegment;
@@ -184,6 +184,18 @@ pub struct PlannedMissionReport {
     pub ledger: PlacementLedger,
 }
 
+/// One flight of a mission's sampled frames (see [`Mission::fly_frames`]).
+pub(crate) struct Flight {
+    /// Per-frame outcomes, in frame order.
+    pub(crate) outcomes: Vec<FrameOutcome>,
+    /// Their in-order aggregate.
+    pub(crate) total: FrameOutcome,
+    /// Mean modeled compute time per frame.
+    pub(crate) mean: Duration,
+    /// The plan's ledger; all zero for an unplanned flight.
+    pub(crate) ledger: PlacementLedger,
+}
+
 /// A mission runner bound to an environment and a world.
 #[derive(Debug, Clone, Copy)]
 pub struct Mission<'a> {
@@ -258,13 +270,8 @@ impl<'a> Mission<'a> {
         system: SystemKind,
         recorder: &mut dyn Recorder,
     ) -> MissionReport {
-        let frames = self.sample_frames();
-        recorder.span(StageId::FrameSampling, 0.0, frames.len() as u64);
-        // Fans out across the runtime's worker threads; the aggregate and
-        // the recorder's call sequence are bit-identical to serial.
-        let (total, mean_time) = runtime.process_frames_recorded(frames.iter(), recorder);
-        recorder.span(StageId::Mission, total.compute.as_seconds(), frames.len() as u64);
-        self.summarize(system, &total, mean_time)
+        let flight = self.fly_frames(runtime, None, recorder);
+        self.summarize(system, &flight.total, flight.mean)
     }
 
     /// Builds the planner's view of each sampled frame: the unplanned
@@ -280,7 +287,7 @@ impl<'a> Mission<'a> {
         runtime: &Runtime,
         frames: &[FrameImage],
     ) -> Vec<FrameEstimate> {
-        let outcomes = runtime.frame_outcomes(frames);
+        let outcomes = runtime.process_frames(frames, &mut NullRecorder);
         frames
             .iter()
             .zip(outcomes.iter())
@@ -290,9 +297,7 @@ impl<'a> Mission<'a> {
                     .iter()
                     .enumerate()
                     .map(|(i, t)| {
-                        let px = (t.size() * t.size()) as u64;
-                        let clear_px =
-                            ((1.0 - t.cloud_fraction()) * px as f64).round() as u64;
+                        let (px, clear_px) = tile_pixel_tally(t);
                         TileEstimate {
                             index: i as u32,
                             px,
@@ -312,22 +317,37 @@ impl<'a> Mission<'a> {
             .collect()
     }
 
-    /// The plan step shared by planned missions and planned fleet
-    /// satellites: estimate `frames` on the unplanned `runtime`, plan the
-    /// day, record the `Planning` span, and return a copy of `runtime`
-    /// with the plan installed, plus the plan's ledger.
-    pub(crate) fn plan_runtime(
+    /// The one flight step behind every mission and every fleet
+    /// satellite: sample the frames and record the `FrameSampling` span;
+    /// with a `planner`, estimate the frames on the unplanned `runtime`,
+    /// plan the day and record the `Planning` span; process the frames
+    /// with [`Runtime::process_frames`] — on a copy of `runtime` carrying
+    /// the plan, if any — and record the `Mission` span.
+    pub(crate) fn fly_frames(
         &self,
         runtime: &Runtime,
-        planner: &ExecutionPlanner,
-        frames: &[FrameImage],
+        planner: Option<&ExecutionPlanner>,
         recorder: &mut dyn Recorder,
-    ) -> (Runtime, PlacementLedger) {
-        let estimates = self.estimate_frames(runtime, frames);
-        let plan = planner.plan_day(&estimates);
-        let ledger = plan.ledger.clone();
-        recorder.span(StageId::Planning, 0.0, plan.frames().len() as u64);
-        (runtime.clone().with_plan(plan), ledger)
+    ) -> Flight {
+        let frames = self.sample_frames();
+        recorder.span(StageId::FrameSampling, 0.0, frames.len() as u64);
+        let mut ledger = PlacementLedger::default();
+        let planned = planner.map(|planner| {
+            let plan = planner.plan_day(&self.estimate_frames(runtime, &frames));
+            recorder.span(StageId::Planning, 0.0, plan.frames().len() as u64);
+            ledger = plan.ledger.clone();
+            runtime.clone().with_plan(plan)
+        });
+        let runtime = planned.as_ref().unwrap_or(runtime);
+        let outcomes = runtime.process_frames(&frames, recorder);
+        let (total, mean) = FrameOutcome::total_and_mean(&outcomes);
+        recorder.span(StageId::Mission, total.compute.as_seconds(), frames.len() as u64);
+        Flight {
+            outcomes,
+            total,
+            mean,
+            ledger,
+        }
     }
 
     /// Runs a mission under an [`ExecutionPlanner`] in two passes.
@@ -351,12 +371,8 @@ impl<'a> Mission<'a> {
         planner: &ExecutionPlanner,
         recorder: &mut dyn Recorder,
     ) -> PlannedMissionReport {
-        let frames = self.sample_frames();
-        recorder.span(StageId::FrameSampling, 0.0, frames.len() as u64);
-        let (planned, ledger) = self.plan_runtime(runtime, planner, &frames, recorder);
-        let (total, mean_time) = planned.process_frames_recorded(frames.iter(), recorder);
-        recorder.span(StageId::Mission, total.compute.as_seconds(), frames.len() as u64);
-        let report = self.summarize(SystemKind::Planned, &total, mean_time);
+        let flight = self.fly_frames(runtime, Some(planner), recorder);
+        let report = self.summarize(SystemKind::Planned, &flight.total, flight.mean);
 
         // The all-downlink-raw baseline's DVD is the high-value
         // prevalence of what was observed: shipping everything raw fills
@@ -373,7 +389,10 @@ impl<'a> Mission<'a> {
             recorder.count(CounterId::PlannerDvdShortfallPpm, ppm as u64);
         }
 
-        PlannedMissionReport { report, ledger }
+        PlannedMissionReport {
+            report,
+            ledger: flight.ledger,
+        }
     }
 
     fn summarize(
@@ -474,7 +493,7 @@ impl<'a> Mission<'a> {
             storage_px,
             faults,
         )?;
-        let outcomes = runtime.frame_outcomes(&self.sample_frames());
+        let outcomes = runtime.process_frames(&self.sample_frames(), &mut NullRecorder);
         let (_, day) = replay.fly_day(&outcomes, recorder);
         Ok(DetailedMissionReport {
             sent_px: day.sent_px,
@@ -672,7 +691,7 @@ mod tests {
         );
         // Conservation: transmitted + dropped + residual is what was
         // produced (nothing is shed without a fault plan).
-        let outcomes = runtime.frame_outcomes(&mission.sample_frames());
+        let outcomes = runtime.process_frames(&mission.sample_frames(), &mut NullRecorder);
         let replay = DayReplay::new(
             &report.passes,
             0,

@@ -10,8 +10,12 @@
 //! actually resized, featurized and classified, and the value accounting
 //! compares predictions against ground truth pixel by pixel.
 //!
+//! [`Runtime::process_frame_indexed`] flies every frame; an installed
+//! [`DayPlan`] only picks its tile loop: the one above, or shipping the
+//! plan's chosen tiles raw. [`Runtime::process_frames`] is the batch entry.
+//!
 //! Every decision narrates itself through the [`Recorder`] passed to
-//! `process_frames_recorded`. The event/span stream this module emits is
+//! `process_frames`. The event/span stream this module emits is
 //! an observability *contract*: the flight recorder's black-box windows,
 //! the Chrome trace export and the health monitor's counters (all in
 //! `kodan-telemetry`) are built from exactly these calls, and the
@@ -29,13 +33,13 @@ use crate::plan::{DayPlan, Placement};
 use crate::selection::SelectionLogic;
 use crate::specialize::SpecializedModel;
 use kodan_cote::time::Duration;
-use kodan_faults::{FaultPlan, FrameFaults};
+use kodan_faults::{FaultPlan, FrameFaults, SeuUpset};
 use kodan_geodata::frame::FrameImage;
-use kodan_geodata::tile::tile_frame;
+use kodan_geodata::tile::{tile_frame, TileImage};
 use kodan_hw::latency::LatencyModel;
 use kodan_telemetry::{
-    ActionKind, CounterId, FaultKind, HistogramId, NullRecorder, PlacementKind, Recorder,
-    RecoveryKind, StageId, TelemetryEvent,
+    ActionKind, CounterId, FaultKind, HistogramId, PlacementKind, Recorder, RecoveryKind, StageId,
+    TelemetryEvent,
 };
 use serde::{Deserialize, Serialize};
 
@@ -113,6 +117,23 @@ impl FrameOutcome {
         self.observed_value_px += other.observed_value_px;
         self.tiles_elided += other.tiles_elided;
         self.tiles_processed += other.tiles_processed;
+    }
+
+    /// Folds per-frame `outcomes` with [`FrameOutcome::absorb`] in the
+    /// order given — frame order for [`Runtime::process_frames`]'
+    /// output — and returns the aggregate plus the mean modeled compute
+    /// time per frame (zero for no frames).
+    pub fn total_and_mean(outcomes: &[FrameOutcome]) -> (FrameOutcome, Duration) {
+        let mut total = FrameOutcome::default();
+        for o in outcomes {
+            total.absorb(o);
+        }
+        let mean = if outcomes.is_empty() {
+            Duration::ZERO
+        } else {
+            total.compute / outcomes.len() as f64
+        };
+        (total, mean)
     }
 }
 
@@ -219,7 +240,7 @@ impl Runtime {
         self.faults.as_ref().map(|f| &f.plan)
     }
 
-    /// Pins the worker count used by [`Runtime::process_frames_recorded`]; `0`
+    /// Pins the worker count used by [`Runtime::process_frames`]; `0`
     /// means auto-detect. Worker count only changes wall-clock time —
     /// outcomes and telemetry are bit-identical for any value.
     pub fn with_workers(mut self, workers: usize) -> Runtime {
@@ -241,7 +262,7 @@ impl Runtime {
     /// `frame_index` in the mission's capture order. Every decision
     /// point (tiling, per-tile classification, the elision/process
     /// action, model invocation, and the frame's pixel accounting) is
-    /// reported to `recorder`; with a [`NullRecorder`] this is the plain
+    /// reported to `recorder`; with a `NullRecorder` this is the plain
     /// hot path.
     ///
     /// The index is the identity an installed [`DayPlan`] and an armed
@@ -249,7 +270,12 @@ impl Runtime {
     /// `(plan seed, frame index)` pair yields the same faults at any
     /// worker count. Without either plan the index is inert.
     ///
-    /// The degradation policy handles each injected fault without
+    /// The prologue (tiling, the fault draw, capture and placement
+    /// telemetry) and epilogue (pixel accounting, spans, histograms) run
+    /// once per frame; the placement picks the tile loop between them.
+    /// `DownlinkRaw` and `Defer` frames run no model and ship the plan's
+    /// chosen tiles raw. Every other frame takes the on-orbit loop, where
+    /// the degradation policy handles each injected fault without
     /// panicking:
     ///
     /// - a throttling episode multiplies every modeled stage cost of the
@@ -274,33 +300,7 @@ impl Runtime {
         frame_index: u64,
         recorder: &mut dyn Recorder,
     ) -> FrameOutcome {
-        let placement = self
-            .plan
-            .as_ref()
-            .and_then(|p| p.placement(frame_index))
-            .cloned();
-        match &placement {
-            Some(Placement::DownlinkRaw { tiles, .. }) => {
-                return self.process_frame_planned_raw(
-                    frame,
-                    frame_index,
-                    tiles,
-                    PlacementKind::DownlinkRaw,
-                    recorder,
-                );
-            }
-            Some(Placement::Defer { tiles, .. }) => {
-                return self.process_frame_planned_raw(
-                    frame,
-                    frame_index,
-                    tiles,
-                    PlacementKind::Deferred,
-                    recorder,
-                );
-            }
-            _ => {}
-        }
-
+        let placement = self.plan.as_ref().and_then(|p| p.placement(frame_index));
         let tiles = tile_frame(frame, self.logic.grid());
         let injection = self.faults.as_ref().filter(|f| f.plan.is_active());
         let frame_faults = match injection {
@@ -311,15 +311,13 @@ impl Runtime {
         // slowdowns the same way: a multiplied stage cost. Multiplying by
         // the 1.0 no-fault, no-throttle factor is bit-exact, so the
         // disarmed, unplanned path stays byte-identical to the pre-fault,
-        // pre-planner runtime.
-        let plan_throttle = match &placement {
+        // pre-planner runtime, and a raw frame (throttle 1.0) is stretched
+        // by the injected slowdown alone.
+        let plan_throttle = match placement {
             Some(Placement::OnOrbit { throttle }) => throttle.max(1.0),
             _ => 1.0,
         };
         let slow = frame_faults.slowdown * plan_throttle;
-        let engine_time = self.latency.context_engine_tile_time() * slow;
-        let resize_time = self.latency.resize_tile_time() * slow;
-        let base_per_tile = engine_time + resize_time;
 
         recorder.event(TelemetryEvent::FrameCaptured {
             pixels: frame.pixel_count() as u64,
@@ -335,43 +333,78 @@ impl Runtime {
                 kind: FaultKind::Slowdown,
             });
         }
-        if let Some(Placement::OnOrbit { throttle }) = &placement {
-            recorder.count(CounterId::FramesPlannedOnOrbit, 1);
-            if *throttle > 1.0 {
-                recorder.count(CounterId::PlannerThermalThrottledFrames, 1);
-            }
-            recorder.event(TelemetryEvent::FramePlanned {
-                placement: PlacementKind::OnOrbit,
-                raw_tiles: 0,
-            });
+
+        let outcome = match announce_placement(placement, recorder) {
+            Some(chosen) => self.ship_planned_raw_tiles(&tiles, chosen, slow, recorder),
+            None => self.run_tiles_on_orbit(
+                &tiles,
+                frame_index,
+                injection,
+                frame_faults.seu,
+                slow,
+                recorder,
+            ),
+        };
+
+        recorder.event(TelemetryEvent::PixelsAccounted {
+            sent_px: outcome.sent_px,
+            value_px: outcome.value_px,
+            observed_px: outcome.observed_px,
+        });
+        recorder.count(CounterId::PixelsSent, outcome.sent_px);
+        recorder.count(CounterId::PixelsValue, outcome.value_px);
+        recorder.span(StageId::Accounting, 0.0, outcome.observed_px);
+        recorder.span(StageId::Frame, outcome.compute.as_seconds(), 1);
+        recorder.observe(HistogramId::FrameComputeSeconds, outcome.compute.as_seconds());
+        recorder.observe(HistogramId::FramePrecision, outcome.precision());
+        if outcome.tiles_elided + outcome.tiles_processed > 0 {
+            recorder.observe(HistogramId::FrameElisionFraction, outcome.elision_fraction());
         }
+        outcome
+    }
+
+    /// The on-orbit tile loop: classify each tile's context, then discard
+    /// it, downlink it, or run its specialized model, every modeled stage
+    /// cost multiplied by `slow`. An injected `seu` and classify
+    /// transients are handled by the degradation policy described on
+    /// [`Runtime::process_frame_indexed`].
+    fn run_tiles_on_orbit(
+        &self,
+        tiles: &[TileImage],
+        frame_index: u64,
+        injection: Option<&FaultInjection>,
+        seu: Option<SeuUpset>,
+        slow: f64,
+        recorder: &mut dyn Recorder,
+    ) -> FrameOutcome {
+        let engine_time = self.latency.context_engine_tile_time() * slow;
+        let resize_time = self.latency.resize_tile_time() * slow;
+        let base_per_tile = engine_time + resize_time;
 
         // Apply any upset to a cloned victim and checksum-validate it
         // once up front; a detected mismatch retires that model slot to
         // the global fallback for the whole frame.
         let mut fallback_slot: Option<usize> = None;
-        if let Some(f) = injection {
-            if let Some(upset) = frame_faults.seu {
-                let models = self.logic.models();
-                let slot = upset
-                    .weight_index
-                    .checked_rem(models.len() as u64)
-                    .unwrap_or(0) as usize;
-                // An empty model table yields no slot and no injection.
-                if let Some(original) = models.get(slot) {
-                    recorder.count(CounterId::FaultSeuInjected, 1);
-                    recorder.event(TelemetryEvent::FaultInjected {
-                        kind: FaultKind::Seu,
+        if let (Some(f), Some(upset)) = (injection, seu) {
+            let models = self.logic.models();
+            let slot = upset
+                .weight_index
+                .checked_rem(models.len() as u64)
+                .unwrap_or(0) as usize;
+            // An empty model table yields no slot and no injection.
+            if let Some(original) = models.get(slot) {
+                recorder.count(CounterId::FaultSeuInjected, 1);
+                recorder.event(TelemetryEvent::FaultInjected {
+                    kind: FaultKind::Seu,
+                });
+                let mut victim = original.clone();
+                victim.corrupt_weight_bit(upset.weight_index, upset.bit);
+                if f.reference.get(slot) != Some(&victim.weight_checksum()) {
+                    fallback_slot = Some(slot);
+                    recorder.count(CounterId::ModelFallbacks, 1);
+                    recorder.event(TelemetryEvent::FaultRecovered {
+                        kind: RecoveryKind::ModelFallback,
                     });
-                    let mut victim = original.clone();
-                    victim.corrupt_weight_bit(upset.weight_index, upset.bit);
-                    if f.reference.get(slot) != Some(&victim.weight_checksum()) {
-                        fallback_slot = Some(slot);
-                        recorder.count(CounterId::ModelFallbacks, 1);
-                        recorder.event(TelemetryEvent::FaultRecovered {
-                            kind: RecoveryKind::ModelFallback,
-                        });
-                    }
                 }
             }
         }
@@ -391,8 +424,7 @@ impl Runtime {
         let mut outcome = FrameOutcome::default();
         for (i, tile) in tiles.iter().enumerate() {
             let tile_index = i as u32;
-            let px = (tile.size() * tile.size()) as u64;
-            let clear_px = ((1.0 - tile.cloud_fraction()) * px as f64).round() as u64;
+            let (px, clear_px) = tile_pixel_tally(tile);
             outcome.observed_px += px;
             outcome.observed_value_px += clear_px;
             outcome.compute += base_per_tile;
@@ -425,15 +457,11 @@ impl Runtime {
                 recorder.event(TelemetryEvent::FaultRecovered {
                     kind: RecoveryKind::ClassifyGaveUp,
                 });
-                outcome.tiles_elided += 1;
-                outcome.sent_px += px;
-                outcome.value_px += clear_px;
                 recorder.event(TelemetryEvent::ActionTaken {
                     tile: tile_index,
                     action: ActionKind::Downlink,
                 });
-                recorder.count(CounterId::TilesDownlinked, 1);
-                recorder.span(StageId::Elision, 0.0, 1);
+                settle_unmodeled_tile(&mut outcome, recorder, px, clear_px, true, false);
                 continue;
             }
             if retries > 0 {
@@ -448,229 +476,184 @@ impl Runtime {
                 tile: tile_index,
                 action: action_kind(action),
             });
-            match action {
+            let model_index = match action {
                 Action::Discard => {
-                    outcome.tiles_elided += 1;
-                    recorder.count(CounterId::TilesDiscarded, 1);
-                    recorder.span(StageId::Elision, 0.0, 1);
+                    settle_unmodeled_tile(&mut outcome, recorder, px, clear_px, false, false);
+                    continue;
                 }
                 Action::Downlink => {
-                    outcome.tiles_elided += 1;
-                    outcome.sent_px += px;
-                    outcome.value_px += clear_px;
-                    recorder.count(CounterId::TilesDownlinked, 1);
-                    recorder.span(StageId::Elision, 0.0, 1);
+                    settle_unmodeled_tile(&mut outcome, recorder, px, clear_px, true, false);
+                    continue;
                 }
-                Action::Process { model_index } => {
-                    let model = match (fallback_slot, injection) {
-                        (Some(slot), Some(f)) if slot == model_index => &f.fallback,
-                        _ => match self.logic.models().get(model_index) {
-                            Some(m) => m,
-                            None => {
-                                // A policy referencing a missing model
-                                // slot must not abort the frame: fall
-                                // back to the bent-pipe action, like the
-                                // classify-exhausted path above.
-                                outcome.tiles_elided += 1;
-                                outcome.sent_px += px;
-                                outcome.value_px += clear_px;
-                                recorder.count(CounterId::TilesDownlinked, 1);
-                                recorder.span(StageId::Elision, 0.0, 1);
-                                continue;
-                            }
-                        },
-                    };
-                    outcome.tiles_processed += 1;
-                    // `effective_ops_ratio` prices a quantized slot at the
-                    // integer-op discount; for f64-only models it is
-                    // exactly `ops_ratio`, so clean paths are unchanged.
-                    let inference = self
-                        .latency
-                        .specialized_tile_time(self.logic.arch(), model.effective_ops_ratio())
-                        * slow;
-                    outcome.compute += inference;
-                    recorder.count(CounterId::TilesProcessed, 1);
-                    recorder.count(CounterId::ModelInvocations, 1);
-                    recorder.span(StageId::ModelExecution, inference.as_seconds(), 1);
-                    recorder.observe(
-                        HistogramId::ModelLatencySeconds,
-                        inference.as_seconds(),
-                    );
-                    recorder.event(TelemetryEvent::ModelInvoked {
-                        tile: tile_index,
-                        model_index: model_index as u32,
-                        modeled_seconds: inference.as_seconds(),
-                    });
-                    let pred = model.predict_tile(tile);
-                    for (p, &cloudy) in pred.iter().zip(tile.truth_cloudy()) {
-                        if *p {
-                            outcome.sent_px += 1;
-                            if !cloudy {
-                                outcome.value_px += 1;
-                            }
-                        }
+                Action::Process { model_index } => model_index,
+            };
+            let model = match (fallback_slot, injection) {
+                (Some(slot), Some(f)) if slot == model_index => &f.fallback,
+                _ => match self.logic.models().get(model_index) {
+                    Some(m) => m,
+                    None => {
+                        // A policy referencing a missing model slot must
+                        // not abort the frame: fall back to the bent-pipe
+                        // action, like the classify-exhausted path above.
+                        settle_unmodeled_tile(&mut outcome, recorder, px, clear_px, true, false);
+                        continue;
+                    }
+                },
+            };
+            outcome.tiles_processed += 1;
+            // `effective_ops_ratio` prices a quantized slot at the
+            // integer-op discount; for f64-only models it is exactly
+            // `ops_ratio`, so clean paths are unchanged.
+            let inference = self
+                .latency
+                .specialized_tile_time(self.logic.arch(), model.effective_ops_ratio())
+                * slow;
+            outcome.compute += inference;
+            recorder.count(CounterId::TilesProcessed, 1);
+            recorder.count(CounterId::ModelInvocations, 1);
+            recorder.span(StageId::ModelExecution, inference.as_seconds(), 1);
+            recorder.observe(HistogramId::ModelLatencySeconds, inference.as_seconds());
+            recorder.event(TelemetryEvent::ModelInvoked {
+                tile: tile_index,
+                model_index: model_index as u32,
+                modeled_seconds: inference.as_seconds(),
+            });
+            let pred = model.predict_tile(tile);
+            for (p, &cloudy) in pred.iter().zip(tile.truth_cloudy()) {
+                if *p {
+                    outcome.sent_px += 1;
+                    if !cloudy {
+                        outcome.value_px += 1;
                     }
                 }
             }
         }
-
-        recorder.event(TelemetryEvent::PixelsAccounted {
-            sent_px: outcome.sent_px,
-            value_px: outcome.value_px,
-            observed_px: outcome.observed_px,
-        });
-        recorder.count(CounterId::PixelsSent, outcome.sent_px);
-        recorder.count(CounterId::PixelsValue, outcome.value_px);
-        recorder.span(StageId::Accounting, 0.0, outcome.observed_px);
-        recorder.span(StageId::Frame, outcome.compute.as_seconds(), 1);
-        recorder.observe(HistogramId::FrameComputeSeconds, outcome.compute.as_seconds());
-        recorder.observe(HistogramId::FramePrecision, outcome.precision());
-        if outcome.tiles_elided + outcome.tiles_processed > 0 {
-            recorder.observe(HistogramId::FrameElisionFraction, outcome.elision_fraction());
-        }
         outcome
     }
 
-    /// The planned raw-downlink path: the installed [`DayPlan`] routed
-    /// this frame to ground inference (immediately or deferred to a
-    /// later contact), so no model runs on board. The context engine
-    /// still scans every tile — that is the energy the planner budgeted
-    /// for the frame — then the plan's chosen tiles ship raw and the
-    /// rest are dropped on board. `chosen` is sorted ascending (the
-    /// planner canonicalizes it), so membership is a binary search and
-    /// nothing here indexes or panics.
-    fn process_frame_planned_raw(
+    /// The plan's raw tile loop: the installed [`DayPlan`] routed this
+    /// frame to ground inference (immediately or deferred to a later
+    /// contact), so no model runs on board. The context engine still
+    /// scans every tile — that is the energy the planner budgeted for
+    /// the frame, charged as `Classification` time with no resize — then
+    /// the plan's `chosen` tiles ship raw and the rest are dropped on
+    /// board. Raw frames draw no upset and no classify transient.
+    /// `chosen` is sorted ascending (the planner canonicalizes it), so
+    /// membership is a binary search and nothing here indexes or panics.
+    fn ship_planned_raw_tiles(
         &self,
-        frame: &FrameImage,
-        frame_index: u64,
+        tiles: &[TileImage],
         chosen: &[u32],
-        kind: PlacementKind,
+        slow: f64,
         recorder: &mut dyn Recorder,
     ) -> FrameOutcome {
-        let tiles = tile_frame(frame, self.logic.grid());
-        let injection = self.faults.as_ref().filter(|f| f.plan.is_active());
-        let frame_faults = match injection {
-            Some(f) => f.plan.frame_faults(frame_index),
-            None => FrameFaults::none(),
-        };
-        // Injected slowdowns still stretch the scan; upsets and classify
-        // transients have nothing to corrupt on a frame that runs no
-        // model and no classifier.
-        let slow = frame_faults.slowdown;
         let engine_time = self.latency.context_engine_tile_time() * slow;
-
-        recorder.event(TelemetryEvent::FrameCaptured {
-            pixels: frame.pixel_count() as u64,
-        });
-        recorder.count(CounterId::FramesProcessed, 1);
-        recorder.count(CounterId::TilesObserved, tiles.len() as u64);
-        if frame_faults.slowdown > 1.0 {
-            recorder.count(CounterId::FaultSlowdownFrames, 1);
-            recorder.event(TelemetryEvent::FaultInjected {
-                kind: FaultKind::Slowdown,
-            });
-        }
-        match kind {
-            PlacementKind::Deferred => {
-                recorder.count(CounterId::FramesPlannedDeferred, 1);
-            }
-            _ => {
-                recorder.count(CounterId::FramesPlannedDownlinkRaw, 1);
-            }
-        }
-        recorder.event(TelemetryEvent::FramePlanned {
-            placement: kind,
-            raw_tiles: chosen.len() as u32,
-        });
-
         let mut outcome = FrameOutcome::default();
         for (i, tile) in tiles.iter().enumerate() {
             let tile_index = i as u32;
-            let px = (tile.size() * tile.size()) as u64;
-            let clear_px = ((1.0 - tile.cloud_fraction()) * px as f64).round() as u64;
+            let (px, clear_px) = tile_pixel_tally(tile);
             outcome.observed_px += px;
             outcome.observed_value_px += clear_px;
             outcome.compute += engine_time;
-            outcome.tiles_elided += 1;
             recorder.span(StageId::Classification, engine_time.as_seconds(), 1);
-            if chosen.binary_search(&tile_index).is_ok() {
-                outcome.sent_px += px;
-                outcome.value_px += clear_px;
-                recorder.event(TelemetryEvent::ActionTaken {
-                    tile: tile_index,
-                    action: ActionKind::Downlink,
-                });
-                recorder.count(CounterId::TilesDownlinked, 1);
-                recorder.count(CounterId::TilesRawDownlinked, 1);
-            } else {
-                recorder.event(TelemetryEvent::ActionTaken {
-                    tile: tile_index,
-                    action: ActionKind::Discard,
-                });
-                recorder.count(CounterId::TilesDiscarded, 1);
-                recorder.count(CounterId::TilesRawDropped, 1);
-            }
-            recorder.span(StageId::Elision, 0.0, 1);
-        }
-
-        recorder.event(TelemetryEvent::PixelsAccounted {
-            sent_px: outcome.sent_px,
-            value_px: outcome.value_px,
-            observed_px: outcome.observed_px,
-        });
-        recorder.count(CounterId::PixelsSent, outcome.sent_px);
-        recorder.count(CounterId::PixelsValue, outcome.value_px);
-        recorder.span(StageId::Accounting, 0.0, outcome.observed_px);
-        recorder.span(StageId::Frame, outcome.compute.as_seconds(), 1);
-        recorder.observe(HistogramId::FrameComputeSeconds, outcome.compute.as_seconds());
-        recorder.observe(HistogramId::FramePrecision, outcome.precision());
-        if outcome.tiles_elided + outcome.tiles_processed > 0 {
-            recorder.observe(HistogramId::FrameElisionFraction, outcome.elision_fraction());
+            let ship = chosen.binary_search(&tile_index).is_ok();
+            recorder.event(TelemetryEvent::ActionTaken {
+                tile: tile_index,
+                action: if ship {
+                    ActionKind::Downlink
+                } else {
+                    ActionKind::Discard
+                },
+            });
+            settle_unmodeled_tile(&mut outcome, recorder, px, clear_px, ship, true);
         }
         outcome
     }
 
-    /// Processes a set of frames and returns the aggregate outcome plus
-    /// the mean per-frame compute time, reporting every frame to
-    /// `recorder` (see [`Runtime::process_frame_indexed`]).
-    ///
-    /// Frames are fanned out across [`Runtime::workers`] threads; the
-    /// per-frame outcomes come back in frame-index order and are folded
-    /// serially, and per-worker telemetry tapes are replayed in the same
-    /// order, so the aggregate and the recorder's snapshot are
-    /// bit-identical to a serial run.
-    pub fn process_frames_recorded<'a, I>(
+    /// Processes `frames` (frame `i` at index `i`, see
+    /// [`Runtime::process_frame_indexed`]) across [`Runtime::workers`]
+    /// threads and returns the outcomes in frame order. Per-worker
+    /// telemetry tapes are replayed in the same order, so outcomes and
+    /// `recorder` are bit-identical to a serial run; fold the outcomes
+    /// with [`FrameOutcome::total_and_mean`].
+    pub fn process_frames(
         &self,
-        frames: I,
+        frames: &[FrameImage],
         recorder: &mut dyn Recorder,
-    ) -> (FrameOutcome, Duration)
-    where
-        I: IntoIterator<Item = &'a FrameImage>,
-    {
-        let frames: Vec<&FrameImage> = frames.into_iter().collect();
-        let outcomes = par::par_map_recorded(self.workers, &frames, recorder, |i, frame, rec| {
+    ) -> Vec<FrameOutcome> {
+        par::par_map_recorded(self.workers, frames, recorder, |i, frame, rec| {
             self.process_frame_indexed(frame, i as u64, rec)
-        });
-        let mut total = FrameOutcome::default();
-        for o in &outcomes {
-            total.absorb(o);
-        }
-        let mean = if outcomes.is_empty() {
-            Duration::ZERO
-        } else {
-            total.compute / outcomes.len() as f64
-        };
-        (total, mean)
-    }
-
-    /// Processes frames in parallel and returns each frame's individual
-    /// outcome, in frame order (used by detailed mission replay, which
-    /// needs per-frame results rather than the aggregate).
-    pub fn frame_outcomes(&self, frames: &[FrameImage]) -> Vec<FrameOutcome> {
-        par::par_map_indexed(self.workers, frames, |i, frame| {
-            self.process_frame_indexed(frame, i as u64, &mut NullRecorder)
         })
     }
+}
+
+/// Reports a frame's placement to `recorder` and returns the tiles a
+/// `DownlinkRaw` or `Defer` placement ships raw. `None` — an `OnOrbit`
+/// placement or no plan at all — keeps the frame on the on-orbit loop.
+fn announce_placement<'p>(
+    placement: Option<&'p Placement>,
+    recorder: &mut dyn Recorder,
+) -> Option<&'p [u32]> {
+    let (kind, chosen) = match placement? {
+        Placement::OnOrbit { throttle } => {
+            recorder.count(CounterId::FramesPlannedOnOrbit, 1);
+            if *throttle > 1.0 {
+                recorder.count(CounterId::PlannerThermalThrottledFrames, 1);
+            }
+            (PlacementKind::OnOrbit, None)
+        }
+        Placement::DownlinkRaw { tiles, .. } => {
+            recorder.count(CounterId::FramesPlannedDownlinkRaw, 1);
+            (PlacementKind::DownlinkRaw, Some(tiles.as_slice()))
+        }
+        Placement::Defer { tiles, .. } => {
+            recorder.count(CounterId::FramesPlannedDeferred, 1);
+            (PlacementKind::Deferred, Some(tiles.as_slice()))
+        }
+    };
+    recorder.event(TelemetryEvent::FramePlanned {
+        placement: kind,
+        raw_tiles: chosen.map_or(0, |tiles| tiles.len() as u32),
+    });
+    chosen
+}
+
+/// A tile's pixel count and its clear (high-value) pixels: what a tile
+/// adds to a frame's observation, and what it ships when sent raw.
+pub(crate) fn tile_pixel_tally(tile: &TileImage) -> (u64, u64) {
+    let px = (tile.size() * tile.size()) as u64;
+    let clear_px = ((1.0 - tile.cloud_fraction()) * px as f64).round() as u64;
+    (px, clear_px)
+}
+
+/// Settles a tile that runs no model: it counts as elided, and `ship`
+/// downlinks its `px` pixels (`clear_px` of them high-value) raw, else
+/// it is dropped on board. `planned` marks a tile the execution planner
+/// placed, which also feeds the planner's raw-tile counters. The caller
+/// reports the tile's `ActionTaken` event first.
+fn settle_unmodeled_tile(
+    outcome: &mut FrameOutcome,
+    recorder: &mut dyn Recorder,
+    px: u64,
+    clear_px: u64,
+    ship: bool,
+    planned: bool,
+) {
+    outcome.tiles_elided += 1;
+    if ship {
+        outcome.sent_px += px;
+        outcome.value_px += clear_px;
+        recorder.count(CounterId::TilesDownlinked, 1);
+        if planned {
+            recorder.count(CounterId::TilesRawDownlinked, 1);
+        }
+    } else {
+        recorder.count(CounterId::TilesDiscarded, 1);
+        if planned {
+            recorder.count(CounterId::TilesRawDropped, 1);
+        }
+    }
+    recorder.span(StageId::Elision, 0.0, 1);
 }
 
 /// The bent-pipe "runtime": downlink everything, compute nothing.
@@ -696,6 +679,7 @@ mod tests {
     use kodan_geodata::{Dataset, DatasetConfig, World};
     use kodan_hw::targets::HwTarget;
     use kodan_ml::zoo::ModelArch;
+    use kodan_telemetry::NullRecorder;
 
     #[test]
     fn precision_guards_zero_denominator() {
@@ -753,7 +737,8 @@ mod tests {
     #[test]
     fn runtime_filters_better_than_bent_pipe() {
         let (runtime, frames) = runtime_and_frames();
-        let (total, _) = runtime.process_frames_recorded(frames.iter(), &mut NullRecorder);
+        let outcomes = runtime.process_frames(&frames, &mut NullRecorder);
+        let (total, _) = FrameOutcome::total_and_mean(&outcomes);
         let bent: u64 = frames.iter().map(|f| bent_pipe_frame(f).value_px).sum();
         let bent_sent: u64 = frames.iter().map(|f| bent_pipe_frame(f).sent_px).sum();
         let bent_precision = bent as f64 / bent_sent as f64;
@@ -768,7 +753,8 @@ mod tests {
     #[test]
     fn mean_compute_is_average_of_frames() {
         let (runtime, frames) = runtime_and_frames();
-        let (total, mean) = runtime.process_frames_recorded(frames.iter(), &mut NullRecorder);
+        let outcomes = runtime.process_frames(&frames, &mut NullRecorder);
+        let (total, mean) = FrameOutcome::total_and_mean(&outcomes);
         assert!(
             (mean.as_seconds() * frames.len() as f64 - total.compute.as_seconds()).abs() < 1e-9
         );
@@ -803,7 +789,8 @@ mod tests {
     fn telemetry_agrees_with_outcome_accounting() {
         let (runtime, frames) = runtime_and_frames();
         let mut recorder = kodan_telemetry::SummaryRecorder::new();
-        let (total, _) = runtime.process_frames_recorded(frames.iter(), &mut recorder);
+        let outcomes = runtime.process_frames(&frames, &mut recorder);
+        let (total, _) = FrameOutcome::total_and_mean(&outcomes);
         let snap = recorder.snapshot();
         assert_eq!(snap.counter(CounterId::PixelsSent), total.sent_px);
         assert_eq!(snap.counter(CounterId::PixelsValue), total.value_px);
@@ -839,7 +826,9 @@ mod tests {
     #[test]
     fn processing_empty_iterator_is_safe() {
         let (runtime, _) = runtime_and_frames();
-        let (total, mean) = runtime.process_frames_recorded(std::iter::empty(), &mut NullRecorder);
+        let outcomes = runtime.process_frames(&[], &mut NullRecorder);
+        assert!(outcomes.is_empty());
+        let (total, mean) = FrameOutcome::total_and_mean(&outcomes);
         assert_eq!(total.sent_px, 0);
         assert_eq!(mean, Duration::ZERO);
     }
@@ -898,17 +887,18 @@ mod tests {
     fn parallel_frame_processing_matches_serial_exactly() {
         let (runtime, frames) = runtime_and_frames();
         let serial = runtime.clone().with_workers(1);
-        let (base_total, base_mean) = serial.process_frames_recorded(frames.iter(), &mut NullRecorder);
-        let base_outcomes = serial.frame_outcomes(&frames);
+        let base_outcomes = serial.process_frames(&frames, &mut NullRecorder);
+        let (base_total, base_mean) = FrameOutcome::total_and_mean(&base_outcomes);
         for workers in [2, 3, 4] {
             let parallel = runtime.clone().with_workers(workers);
             assert_eq!(parallel.workers(), workers);
-            let (total, mean) = parallel.process_frames_recorded(frames.iter(), &mut NullRecorder);
+            let outcomes = parallel.process_frames(&frames, &mut NullRecorder);
+            let (total, mean) = FrameOutcome::total_and_mean(&outcomes);
             // Bitwise equality, not epsilon: the index-ordered fold must
             // reproduce the serial f64 accumulation exactly.
             assert_eq!(base_total, total, "workers={workers}");
             assert_eq!(base_mean, mean, "workers={workers}");
-            assert_eq!(base_outcomes, parallel.frame_outcomes(&frames));
+            assert_eq!(base_outcomes, outcomes, "workers={workers}");
         }
     }
 
@@ -918,7 +908,7 @@ mod tests {
         let snapshot_json = |workers: usize| {
             let rt = runtime.clone().with_workers(workers);
             let mut recorder = kodan_telemetry::SummaryRecorder::new();
-            let _ = rt.process_frames_recorded(frames.iter(), &mut recorder);
+            let _ = rt.process_frames(&frames, &mut recorder);
             recorder.snapshot().to_json()
         };
         let serial = snapshot_json(1);

@@ -45,7 +45,6 @@ pub mod coords;
 pub mod coverage;
 pub mod ground;
 pub mod link;
-pub mod link_budget;
 pub mod orbit;
 pub mod propagate;
 pub mod sensor;

@@ -551,8 +551,8 @@ fn fleet_reports_and_telemetry_are_byte_identical_at_any_worker_count() {
             satellites,
             memtable_budget: budget,
             workers,
-            storage_px: 4.0e8,
             plan,
+            ..FleetConfig::default_fleet()
         };
         let dir = root.join(tag);
         let store = ArtifactStore::create(&dir).expect("create spill store");
@@ -608,6 +608,8 @@ fn planned_missions_are_byte_identical_at_any_worker_count() {
     // produce an identical PlannedMissionReport and byte-identical
     // telemetry JSON at 1, 2 and 4 workers.
     use kodan::{ExecutionPlanner, PlanConfig};
+    use kodan_faults::{FaultConfig, FaultPlan};
+    use kodan_telemetry::CounterId;
 
     let dataset = small_dataset(1);
     let artifacts = Transformation::new(KodanConfig::fast(9))
@@ -621,15 +623,24 @@ fn planned_missions_are_byte_identical_at_any_worker_count() {
         frame_km: 150.0,
         sample_window_days: 1.0,
     };
-    let run = |workers: usize| {
+    let run = |workers: usize, params: MissionParams, config: PlanConfig, faults: Option<FaultConfig>| {
         let logic = artifacts.select_with_capacity(
             HwTarget::OrinAgx15W,
             env.frame_deadline,
             env.capacity_fraction,
         );
-        let runtime = Runtime::new(logic, artifacts.engine.clone()).with_workers(workers);
+        let mut runtime = Runtime::new(logic, artifacts.engine.clone()).with_workers(workers);
+        if let Some(faults) = faults {
+            let fallback = artifacts
+                .grid_artifacts(runtime.logic().grid())
+                .expect("selected grid exists")
+                .global_model
+                .clone();
+            let plan = FaultPlan::new(faults).expect("fault config is valid");
+            runtime = runtime.with_fault_plan(plan, fallback);
+        }
         let planner = ExecutionPlanner::new(
-            PlanConfig::default_plan(),
+            config,
             HwTarget::OrinAgx15W,
             env.frame_deadline,
             env.capacity_fraction,
@@ -637,20 +648,64 @@ fn planned_missions_are_byte_identical_at_any_worker_count() {
         let mut recorder = SummaryRecorder::new();
         let planned =
             Mission::new(&env, &world, params).run_planned_recorded(&runtime, &planner, &mut recorder);
-        (planned, recorder.snapshot().to_json())
+        (planned, recorder.snapshot())
     };
-    let (planned_1, json_1) = run(1);
+
+    let (planned_1, snapshot_1) = run(1, params, PlanConfig::default_plan(), None);
+    let json_1 = snapshot_1.to_json();
     let placed = planned_1.ledger.frames_on_orbit
         + planned_1.ledger.frames_downlink_raw
         + planned_1.ledger.frames_deferred;
     assert_eq!(placed, 6, "every sampled frame gets exactly one placement");
     for workers in [2, 4] {
-        let (planned_n, json_n) = run(workers);
+        let (planned_n, snapshot_n) = run(workers, params, PlanConfig::default_plan(), None);
         assert_eq!(planned_1, planned_n, "{workers}-worker planned mission diverged");
         assert_eq!(
             json_1.as_bytes(),
-            json_n.as_bytes(),
+            snapshot_n.to_json().as_bytes(),
             "{workers}-worker planned telemetry diverged"
+        );
+    }
+
+    // Every placement kind under faults: with the throttle onset at 0 K
+    // the cool on-orbit path is impossible, and twelve frames over two
+    // passes drain the first pass early. So frames ship raw, defer to
+    // the second pass, or fall back on-orbit throttled once both are
+    // full, all on a runtime armed with a fault plan.
+    let mut forced = PlanConfig::default_plan();
+    forced.thermal.throttle_onset_k = 0.0;
+    forced.contacts = 2;
+    forced.storage_px = 1.0e5;
+    let forced_params = MissionParams {
+        sample_frames: 12,
+        ..params
+    };
+    let faults = FaultConfig::nominal(4);
+    let (faulted_1, snapshot_1) = run(1, forced_params, forced, Some(faults));
+    let ledger = &faulted_1.ledger;
+    assert!(ledger.frames_on_orbit >= 1, "no on-orbit frame: {ledger:?}");
+    assert!(ledger.frames_downlink_raw >= 1, "no raw frame: {ledger:?}");
+    assert!(ledger.frames_deferred >= 1, "no deferred frame: {ledger:?}");
+    assert!(
+        snapshot_1.counter(CounterId::FaultSlowdownFrames) > 0,
+        "the fault plan throttled no frame"
+    );
+    let faulted_json_1 = snapshot_1.to_json();
+    // Pinned digests: the forced, faulted planned mission is the same
+    // bytes as when raw placements had their own per-frame body.
+    assert_eq!(
+        fnv1a64(format!("{faulted_1:?}").as_bytes()),
+        0x0e98_dbdc_cc48_5f74,
+        "forced planned mission drifted: {faulted_1:?}"
+    );
+    assert_eq!(fnv1a64(faulted_json_1.as_bytes()), 0x8c43_bf77_388c_7119);
+    for workers in [2, 4] {
+        let (faulted_n, snapshot_n) = run(workers, forced_params, forced, Some(faults));
+        assert_eq!(faulted_1, faulted_n, "{workers}-worker forced mission diverged");
+        assert_eq!(
+            faulted_json_1.as_bytes(),
+            snapshot_n.to_json().as_bytes(),
+            "{workers}-worker forced telemetry diverged"
         );
     }
 }
@@ -763,6 +818,9 @@ fn trace_export_is_byte_identical_at_any_worker_count() {
     let serial = run(1);
     assert!(serial.contains("\"traceEvents\""));
     assert!(serial.contains("\"cat\": \"runtime\""));
+    // Pinned digest: the trace is the same bytes as when the mission,
+    // planner and fleet each wrote their own frame path.
+    assert_eq!(fnv1a64(serial.as_bytes()), 0x469c_57e0_dcfd_e03c, "trace drifted");
     for workers in [2, 4] {
         assert_eq!(
             serial.as_bytes(),
@@ -852,6 +910,9 @@ fn black_box_reports_are_byte_identical_at_any_worker_count() {
         !log_1.reports.is_empty(),
         "nominal plan produced no black-box reports over the mission"
     );
+    // Pinned digest: the black-box log is the same bytes as when the
+    // mission, planner and fleet each wrote their own frame path.
+    assert_eq!(fnv1a64(json_1.as_bytes()), 0x723c_4f5f_d68b_2c38, "black-box log drifted");
     for workers in [2, 4] {
         let (json_n, wire_n) = run(workers);
         assert_eq!(

@@ -6,7 +6,7 @@ mod common;
 
 use common::{test_artifacts, test_world};
 use kodan::mission::{Mission, MissionParams, SpaceEnvironment, SystemKind};
-use kodan::runtime::Runtime;
+use kodan::runtime::{FrameOutcome, Runtime};
 use kodan::selection::SelectionLogic;
 use kodan_hw::HwTarget;
 use kodan_telemetry::NullRecorder;
@@ -86,7 +86,8 @@ fn kodan_runtime_output_is_precise() {
     let runtime = Runtime::new(logic, artifacts.engine.clone());
     let mission = Mission::new(&env, &world, mission_params());
     let frames = mission.sample_frames();
-    let (total, _) = runtime.process_frames_recorded(frames.iter(), &mut NullRecorder);
+    let outcomes = runtime.process_frames(&frames, &mut NullRecorder);
+    let (total, _) = FrameOutcome::total_and_mean(&outcomes);
     let observed_prevalence = total.observed_value_px as f64 / total.observed_px as f64;
     assert!(
         total.precision() > observed_prevalence + 0.2,
@@ -288,6 +289,102 @@ fn invalid_replay_inputs_return_err() {
             );
         }
     }
+}
+
+#[test]
+fn raw_placed_frames_ship_exactly_their_chosen_tiles() {
+    // The raw placement contract. A frame the planner routes down raw
+    // or defers runs no model: every tile is elided, exactly the plan's
+    // chosen tiles ship whole, the frame observes what it would have
+    // observed on orbit, and the planner counters agree with the plan's
+    // ledger. Flown under a fault plan, which must not touch raw frames.
+    use kodan::plan::Placement;
+    use kodan::{ExecutionPlanner, PlanConfig};
+    use kodan_faults::{FaultConfig, FaultPlan};
+    use kodan_telemetry::{CounterId, SummaryRecorder};
+
+    let artifacts = test_artifacts();
+    let env = SpaceEnvironment::fixed(0.21);
+    let world = test_world();
+    let logic = artifacts.select_with_capacity(
+        HwTarget::OrinAgx15W,
+        env.frame_deadline,
+        env.capacity_fraction,
+    );
+    let fallback = artifacts
+        .grid_artifacts(logic.grid())
+        .expect("selected grid exists")
+        .global_model
+        .clone();
+    let plan = FaultPlan::new(FaultConfig::nominal(4)).expect("fault config is valid");
+    let runtime = Runtime::new(logic, artifacts.engine.clone()).with_fault_plan(plan, fallback);
+    let params = MissionParams {
+        sample_frames: 24,
+        ..mission_params()
+    };
+    let mission = Mission::new(&env, &world, params);
+    let frames = mission.sample_frames();
+    let tiles_per_frame = runtime.logic().tiles_per_frame();
+    let tile_side = (params.frame_px / runtime.logic().grid()) as u64;
+    let tile_px = tile_side * tile_side;
+
+    // The forced plan: no cool on-orbit path and two passes for 24
+    // frames, so frames ship raw, defer, or fall back on-orbit.
+    let mut config = PlanConfig::default_plan();
+    config.thermal.throttle_onset_k = 0.0;
+    config.contacts = 2;
+    config.storage_px = 1.0e5;
+    let planner = ExecutionPlanner::new(
+        config,
+        HwTarget::OrinAgx15W,
+        env.frame_deadline,
+        env.capacity_fraction,
+    );
+    // The estimates are the unplanned runtime's outcomes.
+    let estimates = mission.estimate_frames(&runtime, &frames);
+    let planned = runtime.with_plan(planner.plan_day(&estimates));
+    let mut recorder = SummaryRecorder::new();
+    let outcomes = planned.process_frames(&frames, &mut recorder);
+    let day_plan = planned.plan().expect("plan installed");
+    let ledger = &day_plan.ledger;
+    assert_eq!(day_plan.frames().len(), frames.len());
+
+    let mut raw_frames = 0u64;
+    let mut chosen_tiles = 0u64;
+    let flown = day_plan.frames().iter().zip(&outcomes).zip(&estimates);
+    for ((frame_plan, outcome), estimate) in flown {
+        let chosen = match &frame_plan.placement {
+            Placement::DownlinkRaw { tiles, .. } | Placement::Defer { tiles, .. } => tiles,
+            Placement::OnOrbit { .. } => continue,
+        };
+        let frame = frame_plan.frame_index;
+        raw_frames += 1;
+        chosen_tiles += chosen.len() as u64;
+        assert_eq!(outcome.tiles_processed, 0, "frame {frame} ran a model");
+        assert_eq!(outcome.tiles_elided, tiles_per_frame, "frame {frame}");
+        assert_eq!(outcome.sent_px, chosen.len() as u64 * tile_px, "frame {frame}");
+        assert!(outcome.value_px <= outcome.sent_px, "frame {frame}: {outcome:?}");
+        assert_eq!(outcome.observed_px, estimate.observed_px, "frame {frame}");
+    }
+    assert!(ledger.frames_downlink_raw >= 1, "no raw frame: {ledger:?}");
+    assert!(ledger.frames_deferred >= 1, "no deferred frame: {ledger:?}");
+    assert_eq!(raw_frames, ledger.frames_downlink_raw + ledger.frames_deferred);
+
+    let snapshot = recorder.snapshot();
+    let raw_downlinked = snapshot.counter(CounterId::TilesRawDownlinked);
+    assert_eq!(raw_downlinked, chosen_tiles);
+    assert_eq!(
+        raw_downlinked + snapshot.counter(CounterId::TilesRawDropped),
+        raw_frames * tiles_per_frame as u64
+    );
+    assert_eq!(
+        snapshot.counter(CounterId::FramesPlannedDownlinkRaw),
+        ledger.frames_downlink_raw
+    );
+    assert_eq!(
+        snapshot.counter(CounterId::FramesPlannedDeferred),
+        ledger.frames_deferred
+    );
 }
 
 #[test]
