@@ -1,5 +1,6 @@
-//! Parallel frame-processing speedup: `Runtime::process_frames` at one
-//! worker vs four, on an 8-frame batch.
+//! Parallel speedup of the two mission axes: `Runtime::process_frames`
+//! at one worker vs four on an 8-frame batch, and `Mission::sample_frames`
+//! rendering the default 48-frame day at 1, 2 and 4 render workers.
 //!
 //! The deterministic data-parallel layer (`kodan_core::par`) promises a
 //! pure wall-clock win: byte-identical outputs at any worker count, with
@@ -15,7 +16,7 @@
 //! reports.
 
 use criterion::Criterion;
-use kodan::mission::SpaceEnvironment;
+use kodan::mission::{Mission, MissionParams, SpaceEnvironment};
 use kodan::par;
 use kodan::runtime::{FrameOutcome, Runtime};
 use kodan_bench::{banner, bench_artifacts, bench_world};
@@ -66,8 +67,9 @@ fn schedule_makespan(frame_times: &[f64], workers: usize) -> f64 {
 
 fn main() {
     banner(
-        "Parallel frame-processing speedup: 1 vs 4 workers",
-        "Runtime::process_frames wall time, 8-frame batches (App 4, Orin 15W)",
+        "Parallel speedup: frame processing and the mission render",
+        "Runtime::process_frames on 8-frame batches (App 4, Orin 15W), \
+         Mission::sample_frames on the 48-frame day",
     );
     let world = bench_world();
     let artifacts = bench_artifacts(ModelArch::ResNet50DilatedPpm);
@@ -128,6 +130,26 @@ fn main() {
     let schedule_2w = serial_total / schedule_makespan(&frame_times, 2);
     let schedule_4w = serial_total / schedule_makespan(&frame_times, 4);
 
+    // The render lane: the mission's sampled day, rendered afresh by
+    // each call, must come out byte-identical at every worker count.
+    const RENDER_REPS: u32 = 5;
+    let mission_at = |workers: usize| {
+        Mission::new(&env, &world, MissionParams::default()).with_workers(workers)
+    };
+    let serial_day = mission_at(1).sample_frames();
+    let render_frames = serial_day.len();
+    let render_identical = [2, 4]
+        .into_iter()
+        .all(|workers| mission_at(workers).sample_frames() == serial_day);
+    assert!(render_identical, "parallel render diverged from serial");
+    let render_wall = |workers: usize| {
+        let mission = mission_at(workers);
+        time_batch(RENDER_REPS, || mission.sample_frames())
+    };
+    let (render_1w, render_2w, render_4w) = (render_wall(1), render_wall(2), render_wall(4));
+    let render_speedup_2w = if render_2w > 0.0 { render_1w / render_2w } else { 0.0 };
+    let render_speedup_4w = if render_4w > 0.0 { render_1w / render_4w } else { 0.0 };
+
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let (speedup_4w, basis) = if cores >= 4 {
         (measured_4w, "measured-wall-clock")
@@ -136,7 +158,7 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"bench\": \"parallel_speedup\",\n  \"unit\": \"seconds_per_{BATCH_FRAMES}_frame_batch\",\n  \"reps\": {REPS},\n  \"cores_available\": {cores},\n  \"wall_1_worker_s\": {wall_1w:.6},\n  \"wall_2_workers_s\": {wall_2w:.6},\n  \"wall_4_workers_s\": {wall_4w:.6},\n  \"measured_speedup_2w\": {measured_2w:.4},\n  \"measured_speedup_4w\": {measured_4w:.4},\n  \"schedule_speedup_2w\": {schedule_2w:.4},\n  \"schedule_speedup_4w\": {schedule_4w:.4},\n  \"speedup_at_4_workers\": {speedup_4w:.4},\n  \"speedup_basis\": \"{basis}\",\n  \"outputs_byte_identical\": {outputs_identical},\n  \"note\": \"schedule speedup is serial time over the busiest shard_len shard; it is what a >=4-core host realizes and the committed acceptance figure when this bench runs on fewer cores\"\n}}\n",
+        "{{\n  \"bench\": \"parallel_speedup\",\n  \"unit\": \"seconds_per_{BATCH_FRAMES}_frame_batch\",\n  \"reps\": {REPS},\n  \"cores_available\": {cores},\n  \"wall_1_worker_s\": {wall_1w:.6},\n  \"wall_2_workers_s\": {wall_2w:.6},\n  \"wall_4_workers_s\": {wall_4w:.6},\n  \"measured_speedup_2w\": {measured_2w:.4},\n  \"measured_speedup_4w\": {measured_4w:.4},\n  \"schedule_speedup_2w\": {schedule_2w:.4},\n  \"schedule_speedup_4w\": {schedule_4w:.4},\n  \"speedup_at_4_workers\": {speedup_4w:.4},\n  \"speedup_basis\": \"{basis}\",\n  \"outputs_byte_identical\": {outputs_identical},\n  \"render_frames\": {render_frames},\n  \"render_reps\": {RENDER_REPS},\n  \"render_wall_1_worker_s\": {render_1w:.6},\n  \"render_wall_2_workers_s\": {render_2w:.6},\n  \"render_wall_4_workers_s\": {render_4w:.6},\n  \"render_measured_speedup_2w\": {render_speedup_2w:.4},\n  \"render_measured_speedup_4w\": {render_speedup_4w:.4},\n  \"render_frames_byte_identical\": {render_identical},\n  \"note\": \"schedule speedup is serial time over the busiest shard_len shard; it is what a >=4-core host realizes and the committed acceptance figure when this bench runs on fewer cores\"\n}}\n",
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel_speedup.json");
     std::fs::write(out, &json).expect("write BENCH_parallel_speedup.json");
@@ -149,6 +171,13 @@ fn main() {
     );
     println!(
         "schedule: 2w {schedule_2w:.2}x  4w {schedule_4w:.2}x  -> speedup_at_4_workers {speedup_4w:.2}x ({basis})"
+    );
+    println!(
+        "render ({render_frames} frames): 1w {:.0} ms  2w {:.0} ms  4w {:.0} ms  \
+         (measured {render_speedup_2w:.2}x / {render_speedup_4w:.2}x on {cores} core(s))",
+        render_1w * 1e3,
+        render_2w * 1e3,
+        render_4w * 1e3,
     );
     println!("baseline written to BENCH_parallel_speedup.json");
     assert!(

@@ -204,7 +204,8 @@ fn fly_kodan_recorded(options: &Options, recorder: &mut dyn Recorder) -> Result<
         env.frame_deadline,
         env.capacity_fraction,
     );
-    let mission = Mission::new(&env, &world, MissionParams::default());
+    let mission =
+        Mission::new(&env, &world, MissionParams::default()).with_workers(options.workers);
     let mut runtime =
         Runtime::new(logic, artifacts.engine.clone()).with_workers(options.workers);
     if let Some(plan) = build_fault_plan(options)? {
@@ -462,7 +463,8 @@ pub fn mission(options: &Options) -> Result<(), String> {
             );
             (world, artifacts, logic, Vec::new())
         };
-    let mission = Mission::new(&env, &world, MissionParams::default());
+    let mission =
+        Mission::new(&env, &world, MissionParams::default()).with_workers(options.workers);
 
     let bent = mission.run_bent_pipe();
     let direct_logic = SelectionLogic::direct_deploy(
@@ -558,7 +560,8 @@ pub fn plan(options: &Options) -> Result<(), String> {
         env.frame_deadline,
         env.capacity_fraction,
     );
-    let mission = Mission::new(&env, &world, MissionParams::default());
+    let mission =
+        Mission::new(&env, &world, MissionParams::default()).with_workers(options.workers);
     let runtime =
         Runtime::new(logic, artifacts.engine.clone()).with_workers(options.workers);
 

@@ -15,8 +15,8 @@
 //!   shards the fleet over workers; each satellite records telemetry
 //!   onto a private tape that is replayed in satellite order after the
 //!   join, so fleet snapshots are byte-identical at any `--workers`
-//!   count. Per-satellite frame processing stays serial — no nested
-//!   parallelism, no interleaving to reason about.
+//!   count. Per-satellite rendering and frame processing stay serial —
+//!   no nested parallelism, no interleaving to reason about.
 //! - **Results never accumulate unboundedly.** Each satellite emits a
 //!   compact journal ([`combine::JournalRecord`]); journals stream
 //!   through a [`combine::SpillCombiner`] that buffers up to a byte
@@ -288,7 +288,8 @@ impl<'a> Fleet<'a> {
 
         let mut params = self.params;
         params.sample_frames = params.sample_frames.max(1);
-        let mission = Mission::new(&env, self.world, params);
+        // Satellites are the parallel axis: each renders serially too.
+        let mission = Mission::new(&env, self.world, params).with_workers(1);
         // With planning on, each satellite plans its own day against its
         // own contact share, then re-flies the frames under the plan.
         let planner = self.config.plan.map(|plan_config| {

@@ -11,8 +11,18 @@
 //! frames spread along the ground track, and the compute/downlink
 //! bookkeeping is exact arithmetic on top. `sample_frames` controls the
 //! trade.
+//!
+//! Every system flown on one [`Mission`] observes the same sampled day,
+//! as in the paper's evaluation, so a mission renders it once: the
+//! first flight renders the frames in parallel through [`crate::par`]
+//! ([`Mission::with_workers`]), and the bent pipe, direct deploy, Kodan,
+//! planned flights and the pass-level replay all read that one copy.
+//! Each frame is a pure function of the world and its capture, and
+//! `par` keeps input order, so reports are byte-identical at any worker
+//! count. [`Mission::sample_frames`] renders afresh on every call.
 
 use crate::dvd::DownlinkAccounting;
+use crate::par;
 use crate::plan::{ExecutionPlanner, FrameEstimate, PlacementLedger, TileEstimate};
 use crate::replay::DayReplay;
 use crate::runtime::{bent_pipe_frame, tile_pixel_tally, FrameOutcome, Runtime};
@@ -29,6 +39,7 @@ use kodan_geodata::tile::tile_frame;
 use kodan_telemetry::{CounterId, NullRecorder, Recorder, StageId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Which data-handling system a mission runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -196,26 +207,45 @@ pub(crate) struct Flight {
     pub(crate) ledger: PlacementLedger,
 }
 
-/// A mission runner bound to an environment and a world.
-#[derive(Debug, Clone, Copy)]
+/// A mission runner bound to an environment and a world. It renders its
+/// sampled day on first use and every flight reuses those frames.
+#[derive(Debug, Clone)]
 pub struct Mission<'a> {
     env: &'a SpaceEnvironment,
     world: &'a World,
     params: MissionParams,
+    workers: usize,
+    frames: OnceLock<Vec<FrameImage>>,
 }
 
 impl<'a> Mission<'a> {
-    /// Creates a mission runner.
+    /// Creates a mission runner that renders on an auto-detected worker
+    /// count (see [`Mission::with_workers`]).
     ///
     /// # Panics
     ///
     /// Panics if `sample_frames` is zero.
     pub fn new(env: &'a SpaceEnvironment, world: &'a World, params: MissionParams) -> Mission<'a> {
         assert!(params.sample_frames > 0, "mission needs sample frames");
-        Mission { env, world, params }
+        Mission {
+            env,
+            world,
+            params,
+            workers: par::resolve_workers(0),
+            frames: OnceLock::new(),
+        }
     }
 
-    /// Renders the sampled frames along the day's ground track.
+    /// Pins the worker count that renders the sampled frames; `0` means
+    /// auto-detect. Worker count only changes wall-clock time — frames
+    /// and reports are bit-identical for any value.
+    pub fn with_workers(mut self, workers: usize) -> Mission<'a> {
+        self.workers = par::resolve_workers(workers);
+        self
+    }
+
+    /// Renders the sampled frames along the day's ground track, afresh
+    /// on every call.
     pub fn sample_frames(&self) -> Vec<FrameImage> {
         let schedule = capture_schedule(
             &self.env.orbit,
@@ -225,28 +255,29 @@ impl<'a> Mission<'a> {
         );
         let n = self.params.sample_frames.min(schedule.len());
         let stride = (schedule.len() / n).max(1);
-        schedule
-            .iter()
-            .step_by(stride)
-            .take(n)
-            .map(|cap| {
-                let t_days = (cap.epoch - self.env.orbit.epoch()).as_days();
-                self.world.render_frame(
-                    cap.center.latitude_deg(),
-                    cap.center.longitude_deg(),
-                    t_days,
-                    self.params.frame_px,
-                    self.params.frame_km,
-                )
-            })
-            .collect()
+        let captures: Vec<_> = schedule.iter().step_by(stride).take(n).collect();
+        par::par_map_indexed(self.workers, &captures, |_, cap| {
+            let t_days = (cap.epoch - self.env.orbit.epoch()).as_days();
+            self.world.render_frame(
+                cap.center.latitude_deg(),
+                cap.center.longitude_deg(),
+                t_days,
+                self.params.frame_px,
+                self.params.frame_km,
+            )
+        })
+    }
+
+    /// The sampled frames every flight of this mission reads, rendered
+    /// by the first one.
+    fn frames(&self) -> &[FrameImage] {
+        self.frames.get_or_init(|| self.sample_frames())
     }
 
     /// Runs the bent-pipe baseline.
     pub fn run_bent_pipe(&self) -> MissionReport {
-        let frames = self.sample_frames();
         let mut total = FrameOutcome::default();
-        for frame in &frames {
+        for frame in self.frames() {
             total.absorb(&bent_pipe_frame(frame));
         }
         self.summarize(SystemKind::BentPipe, &total, Duration::ZERO)
@@ -318,28 +349,29 @@ impl<'a> Mission<'a> {
     }
 
     /// The one flight step behind every mission and every fleet
-    /// satellite: sample the frames and record the `FrameSampling` span;
-    /// with a `planner`, estimate the frames on the unplanned `runtime`,
-    /// plan the day and record the `Planning` span; process the frames
-    /// with [`Runtime::process_frames`] — on a copy of `runtime` carrying
-    /// the plan, if any — and record the `Mission` span.
+    /// satellite: take the sampled frames and record the `FrameSampling`
+    /// span; with a `planner`, estimate the frames on the unplanned
+    /// `runtime`, plan the day and record the `Planning` span; process
+    /// the frames with [`Runtime::process_frames`] — on a copy of
+    /// `runtime` carrying the plan, if any — and record the `Mission`
+    /// span.
     pub(crate) fn fly_frames(
         &self,
         runtime: &Runtime,
         planner: Option<&ExecutionPlanner>,
         recorder: &mut dyn Recorder,
     ) -> Flight {
-        let frames = self.sample_frames();
+        let frames = self.frames();
         recorder.span(StageId::FrameSampling, 0.0, frames.len() as u64);
         let mut ledger = PlacementLedger::default();
         let planned = planner.map(|planner| {
-            let plan = planner.plan_day(&self.estimate_frames(runtime, &frames));
+            let plan = planner.plan_day(&self.estimate_frames(runtime, frames));
             recorder.span(StageId::Planning, 0.0, plan.frames().len() as u64);
             ledger = plan.ledger.clone();
             runtime.clone().with_plan(plan)
         });
         let runtime = planned.as_ref().unwrap_or(runtime);
-        let outcomes = runtime.process_frames(&frames, recorder);
+        let outcomes = runtime.process_frames(frames, recorder);
         let (total, mean) = FrameOutcome::total_and_mean(&outcomes);
         recorder.span(StageId::Mission, total.compute.as_seconds(), frames.len() as u64);
         Flight {
@@ -493,7 +525,7 @@ impl<'a> Mission<'a> {
             storage_px,
             faults,
         )?;
-        let outcomes = runtime.process_frames(&self.sample_frames(), &mut NullRecorder);
+        let outcomes = runtime.process_frames(self.frames(), &mut NullRecorder);
         let (_, day) = replay.fly_day(&outcomes, recorder);
         Ok(DetailedMissionReport {
             sent_px: day.sent_px,
@@ -638,6 +670,54 @@ mod tests {
         let mission_s = snap.span(kodan_telemetry::StageId::Mission).modeled_seconds;
         let frame_s = snap.span(kodan_telemetry::StageId::Frame).modeled_seconds;
         assert!((mission_s - frame_s).abs() < 1e-9);
+    }
+
+    /// Flies `flight` on `mission` and on a fresh twin: the results must
+    /// match, and the twin's flight must have read (so rendered) its day.
+    fn same_as_fresh<T: PartialEq + fmt::Debug>(
+        mission: &Mission<'_>,
+        flight: impl Fn(&Mission<'_>) -> T,
+    ) {
+        let twin = Mission::new(mission.env, mission.world, mission.params);
+        assert_eq!(flight(mission), flight(&twin));
+        assert!(twin.frames.get().is_some(), "the flight bypassed the rendered day");
+    }
+
+    #[test]
+    fn one_mission_renders_its_day_once_for_every_flight() {
+        let env = SpaceEnvironment::fixed(0.21);
+        let world = World::new(42);
+        let a = artifacts(&world);
+        let direct = Runtime::new(
+            SelectionLogic::direct_deploy(
+                &a,
+                HwTarget::OrinAgx15W,
+                env.frame_deadline,
+                env.capacity_fraction,
+            ),
+            a.engine.clone(),
+        );
+        let kodan = Runtime::new(
+            a.select_with_capacity(HwTarget::OrinAgx15W, env.frame_deadline, env.capacity_fraction),
+            a.engine.clone(),
+        );
+        let planner = ExecutionPlanner::new(
+            crate::plan::PlanConfig::default_plan(),
+            HwTarget::OrinAgx15W,
+            env.frame_deadline,
+            env.capacity_fraction,
+        );
+
+        let mission = Mission::new(&env, &world, params()).with_workers(2);
+        same_as_fresh(&mission, |m| m.run_bent_pipe());
+        let rendered = mission.frames().as_ptr();
+        same_as_fresh(&mission, |m| m.run_with_runtime(&direct, SystemKind::DirectDeploy));
+        same_as_fresh(&mission, |m| m.run_with_runtime(&kodan, SystemKind::Kodan));
+        same_as_fresh(&mission, |m| {
+            m.run_planned_recorded(&kodan, &planner, &mut NullRecorder)
+        });
+        assert_eq!(mission.frames().as_ptr(), rendered, "the day was rendered again");
+        assert_eq!(mission.frames(), mission.sample_frames().as_slice());
     }
 
     #[test]

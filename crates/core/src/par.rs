@@ -5,14 +5,17 @@
 //! preserves a single invariant: **outputs are a pure function of inputs
 //! and seed, never of worker count or interleaving.** The techniques:
 //!
-//! - **Index-keyed results.** [`par_map_indexed`] writes each item's
-//!   result into a slot addressed by the item's index, so the returned
-//!   `Vec` is in input order no matter which worker finished first.
-//!   Callers fold reductions over that `Vec` serially, which keeps
-//!   non-associative `f64` accumulation in the exact serial order.
+//! - **Input-ordered results.** [`par_map_indexed`] collects each
+//!   shard's results in item order and concatenates the shards in shard
+//!   order, so the returned `Vec` is in input order no matter which
+//!   worker finished first. Callers fold reductions over that `Vec`
+//!   serially, which keeps non-associative `f64` accumulation in the
+//!   exact serial order.
 //! - **Contiguous sharding.** Items are split into `workers` contiguous
 //!   shards ([`shard_len`]); the split is a function of `(n, workers)`
 //!   only, so a given `--workers N` always produces the same schedule.
+//!   The calling thread runs shard 0 itself, so `workers` workers cost
+//!   `workers - 1` spawned threads.
 //! - **Tape-and-replay telemetry.** [`par_map_recorded`] gives each item
 //!   a private [`TapeRecorder`]; after the join, tapes are replayed into
 //!   the real recorder in item-index order, so the recorder observes the
@@ -85,11 +88,14 @@ pub fn stream_seed(master: u64, stream: u64) -> u64 {
     master.wrapping_add(stream)
 }
 
-/// Maps `f` over `items` on `workers` threads, returning results in
-/// input order. `f` receives the item's index and the item; results are
-/// written into index-keyed slots, so the output is identical to
-/// `items.iter().enumerate().map(...)` regardless of scheduling. Panics
-/// in `f` are propagated to the caller after all workers join.
+/// Maps `f` over `items` on `workers` workers, returning results in
+/// input order. `f` receives the item's index and the item; shards
+/// concatenate in shard order, so the output is identical to
+/// `items.iter().enumerate().map(...)` regardless of scheduling.
+///
+/// The calling thread is worker 0: it runs the first shard itself while
+/// `workers - 1` spawned threads run the rest. Panics in `f`, on any
+/// worker, are propagated to the caller after all workers join.
 pub fn par_map_indexed<I, T, F>(workers: usize, items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
@@ -111,19 +117,30 @@ where
         let f = &f;
         let mut rest = items;
         let mut start = 0usize;
+        let mut caller_shard = None;
         for (w, out) in shard_outputs.iter_mut().enumerate() {
             let len = shard_len(n, workers, w).min(rest.len());
             let (shard_items, tail) = rest.split_at(len);
             rest = tail;
             let shard_start = start;
             start += len;
-            scope.spawn(move |_| {
+            let mut shard = move || {
                 *out = shard_items
                     .iter()
                     .enumerate()
                     .map(|(offset, item)| f(shard_start + offset, item))
                     .collect();
-            });
+            };
+            if w == 0 {
+                caller_shard = Some(shard);
+            } else {
+                scope.spawn(move |_| shard());
+            }
+        }
+        // Worker 0 starts once the others are spawned. If it panics, the
+        // scope still joins every spawned thread before unwinding.
+        if let Some(mut shard) = caller_shard {
+            shard();
         }
     });
     if let Err(payload) = result {
@@ -207,6 +224,31 @@ mod tests {
         for workers in [1, 2, 3, 4, 8, 40] {
             let parallel = par_map_indexed(workers, &items, |i, x| x * 3 + i as u64);
             assert_eq!(serial, parallel, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn the_caller_runs_the_first_shard() {
+        let items: Vec<u32> = (0..6).collect();
+        let caller = std::thread::current().id();
+        let ran_on = par_map_indexed(3, &items, |_, _| std::thread::current().id());
+        // Shards of 2: items 0 and 1 are the caller's, the rest are not.
+        assert_eq!(ran_on[..2], [caller, caller]);
+        assert!(ran_on[2..].iter().all(|id| *id != caller));
+    }
+
+    #[test]
+    fn a_panic_in_any_shard_reaches_the_caller() {
+        let items: Vec<u32> = (0..8).collect();
+        // Item 0 sits in the caller's shard, item 7 in the last spawned one.
+        for bad in [0u32, 7] {
+            let outcome = std::panic::catch_unwind(|| {
+                par_map_indexed(4, &items, |_, x| {
+                    assert!(*x != bad, "item {bad} fails");
+                    *x
+                })
+            });
+            assert!(outcome.is_err(), "the panic on item {bad} was lost");
         }
     }
 

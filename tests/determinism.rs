@@ -112,9 +112,10 @@ fn telemetry_snapshots_are_byte_identical() {
 
 #[test]
 fn parallel_missions_match_serial_bitwise() {
-    // The data-parallel frame path must be a pure wall-clock optimization:
-    // every MissionReport field — f64 aggregates included — must be
-    // bit-identical whether one worker or many processed the frames.
+    // The data-parallel render and frame paths must be pure wall-clock
+    // optimizations: every MissionReport field — f64 aggregates included
+    // — must be bit-identical whether one worker or many rendered and
+    // processed the frames.
     let dataset = small_dataset(1);
     let artifacts = Transformation::new(KodanConfig::fast(9))
         .run(&dataset, ModelArch::MobileNetV2DilatedC1)
@@ -134,7 +135,11 @@ fn parallel_missions_match_serial_bitwise() {
             env.capacity_fraction,
         );
         let runtime = Runtime::new(logic, artifacts.engine.clone()).with_workers(workers);
-        Mission::new(&env, &world, params).run_with_runtime(&runtime, SystemKind::Kodan)
+        let mission = Mission::new(&env, &world, params).with_workers(workers);
+        (
+            mission.run_bent_pipe(),
+            mission.run_with_runtime(&runtime, SystemKind::Kodan),
+        )
     };
     let serial = run(1);
     for workers in [2, 4] {
