@@ -1,14 +1,18 @@
 //! Criterion micro-benchmarks of the hot substrate paths: frame
 //! rendering, tiling + resize, feature extraction, model inference,
-//! k-means, and orbit propagation. These quantify the simulator's own
-//! cost (not the paper's results) and guard against performance
-//! regressions in the inner loops.
+//! k-means, orbit propagation and the space-segment simulation. These
+//! quantify the simulator's own cost (not the paper's results) and guard
+//! against performance regressions in the inner loops.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use kodan::specialize::{tile_features, SpecializedModel};
+use kodan_cote::constellation::Constellation;
+use kodan_cote::ground::GroundSegment;
 use kodan_cote::orbit::Orbit;
 use kodan_cote::propagate::propagate;
+use kodan_cote::sensor::Imager;
+use kodan_cote::sim::simulate_space_segment;
 use kodan_cote::time::Duration;
 use kodan_geodata::frame::World;
 use kodan_geodata::pixel::CHANNELS;
@@ -25,6 +29,10 @@ fn bench_frame_render(c: &mut Criterion) {
     let world = World::new(42);
     c.bench_function("render_frame_66px", |b| {
         b.iter(|| world.render_frame(black_box(12.0), black_box(-71.0), 0.0, 66, 150.0))
+    });
+    // The working resolution every mission, plan and fleet day renders at.
+    c.bench_function("render_frame_132px", |b| {
+        b.iter(|| world.render_frame(black_box(12.0), black_box(-71.0), 0.0, 132, 150.0))
     });
 }
 
@@ -119,6 +127,25 @@ fn bench_propagation(c: &mut Criterion) {
     });
 }
 
+fn bench_space_segment(c: &mut Criterion) {
+    // One day of the 24-satellite same-plane fleet against the Landsat
+    // ground segment: the contact scan of every satellite plus the
+    // station contention resolution, as `kodan fleet` runs it.
+    let constellation = Constellation::same_plane(Orbit::sun_synchronous(705_000.0), 24);
+    let imager = Imager::landsat_oli();
+    let segment = GroundSegment::landsat();
+    c.bench_function("simulate_space_segment_24sat", |b| {
+        b.iter(|| {
+            simulate_space_segment(
+                black_box(&constellation),
+                &imager,
+                &segment,
+                Duration::from_days(1.0),
+            )
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_frame_render,
@@ -126,6 +153,7 @@ criterion_group!(
     bench_features_and_inference,
     bench_matvec_substrates,
     bench_kmeans,
-    bench_propagation
+    bench_propagation,
+    bench_space_segment
 );
 criterion_main!(benches);

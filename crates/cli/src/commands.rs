@@ -687,11 +687,18 @@ pub fn plan(options: &Options) -> Result<(), String> {
 }
 
 /// `kodan fleet` — flies every satellite of a same-plane constellation
-/// through one shared day: the space segment is simulated once (ground
-/// stations contended across the whole fleet), each satellite replays
-/// its own pass schedule through the bounded downlink queue, and the
+/// through one shared day: the space segment (ground stations contended
+/// across the whole fleet) is simulated, each satellite replays its own
+/// pass schedule through the bounded downlink queue, and the
 /// per-satellite journals are merge-reduced through the bounded-memory
 /// spill combiner. Byte-identical for any `--workers` value.
+///
+/// The segment is simulated twice per run: once by
+/// `SpaceEnvironment::landsat` below, whose capacity fraction sizes the
+/// selection, and again inside `Fleet::run_recorded` for the pass
+/// schedules. Both runs give the same passes; handing the first to the
+/// fleet is an open ROADMAP item ("One benchmark PR that unlocks the
+/// subtractions").
 pub fn fleet(options: &Options) -> Result<(), String> {
     let mut recorder = SummaryRecorder::new();
     let (world, artifacts) = build_artifacts_recorded(options, &mut recorder)?;

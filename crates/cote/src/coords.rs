@@ -161,9 +161,13 @@ pub fn ecef_to_geodetic(r: Vec3) -> Geodetic {
 /// Elevation angle, radians, of a target (ECEF, meters) as seen from an
 /// observer at a geodetic site. Positive means above the local horizon.
 pub fn elevation_angle(site: &Geodetic, target_ecef: Vec3) -> f64 {
-    let site_ecef = site.to_ecef();
+    elevation_from(site.to_ecef(), site.up(), target_ecef)
+}
+
+/// [`elevation_angle`] from a site's precomputed ECEF position and up
+/// vector.
+pub(crate) fn elevation_from(site_ecef: Vec3, up: Vec3, target_ecef: Vec3) -> f64 {
     let range = target_ecef - site_ecef;
-    let up = site.up();
     (range.dot(up) / range.norm()).clamp(-1.0, 1.0).asin()
 }
 

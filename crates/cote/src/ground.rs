@@ -1,6 +1,6 @@
 //! Ground stations and the ground segment.
 
-use crate::coords::{elevation_angle, Geodetic};
+use crate::coords::{elevation_from, Geodetic};
 use crate::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -18,6 +18,10 @@ use std::fmt;
 pub struct GroundStation {
     name: String,
     location: Geodetic,
+    /// `location` in ECEF and its local up vector, computed once here
+    /// rather than on every elevation query.
+    site_ecef: Vec3,
+    up: Vec3,
     min_elevation: f64,
     downlink_rate_bps: f64,
 }
@@ -44,9 +48,12 @@ impl GroundStation {
             (0.0..90.0).contains(&min_elevation_deg),
             "mask angle must be in [0, 90) degrees"
         );
+        let location = Geodetic::from_degrees(lat_deg, lon_deg, 0.0);
         GroundStation {
             name: name.into(),
-            location: Geodetic::from_degrees(lat_deg, lon_deg, 0.0),
+            location,
+            site_ecef: location.to_ecef(),
+            up: location.up(),
             min_elevation: min_elevation_deg.to_radians(),
             downlink_rate_bps,
         }
@@ -75,12 +82,12 @@ impl GroundStation {
     /// True if a satellite at the given ECEF position (meters) is above the
     /// station's elevation mask.
     pub fn sees(&self, sat_ecef: Vec3) -> bool {
-        elevation_angle(&self.location, sat_ecef) >= self.min_elevation
+        self.elevation_of(sat_ecef) >= self.min_elevation
     }
 
     /// Elevation of the satellite above this station's horizon, radians.
     pub fn elevation_of(&self, sat_ecef: Vec3) -> f64 {
-        elevation_angle(&self.location, sat_ecef)
+        elevation_from(self.site_ecef, self.up, sat_ecef)
     }
 }
 

@@ -3,11 +3,20 @@
 //! A contact window is a maximal interval during which a satellite is above
 //! a ground station's elevation mask. Windows are found by coarse time
 //! stepping followed by bisection refinement of the rise and set edges.
+//!
+//! The coarse scan is shared by every station of a ground segment: each
+//! scan instant, and the first grazing-probe midpoint of each step, is
+//! propagated once per satellite, and every station advances its own
+//! rise/set state from those positions. Deeper grazing probes and edge
+//! bisection run per station. Each station's windows are exactly those a
+//! single-station scan finds, so the result does not depend on how many
+//! stations share the scan.
 
 use crate::ground::{GroundSegment, GroundStation};
 use crate::orbit::Orbit;
 use crate::propagate::position_ecef;
 use crate::time::{Duration, Epoch};
+use crate::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -71,26 +80,51 @@ const SCAN_STEP_SECONDS: f64 = 10.0;
 const GRAZING_MARGIN_RAD: f64 = 8.0 * std::f64::consts::PI / 180.0;
 
 /// Smallest interval the grazing probe subdivides, seconds. Passes below
-/// ~1 s are discarded by [`push_window`] anyway, so probing a finer grid
-/// buys nothing.
+/// ~1 s are discarded when a window is recorded anyway, so probing a
+/// finer grid buys nothing.
 const PROBE_FLOOR_SECONDS: f64 = 0.5;
 
 /// Computes all contact windows between one satellite and every station of
 /// a ground segment over `[orbit.epoch(), orbit.epoch() + horizon]`.
 ///
-/// Windows are returned sorted by start time. Edges are refined to ~100 ms
-/// by bisection.
+/// Windows are returned sorted by start time; windows starting at the
+/// same instant stay in station order. Edges are refined to ~100 ms by
+/// bisection.
 pub fn contact_windows(
     orbit: &Orbit,
     segment: &GroundSegment,
     horizon: Duration,
 ) -> Vec<ContactWindow> {
-    let mut windows = Vec::new();
-    for (idx, station) in segment.iter().enumerate() {
-        windows.extend(station_windows(orbit, station, idx, horizon));
+    let t0 = orbit.epoch();
+    let t_end = t0 + horizon;
+    let start = position_ecef(orbit, t0);
+    let mut scans: Vec<StationScan<'_>> = segment
+        .iter()
+        .enumerate()
+        .map(|(index, station)| StationScan::new(orbit, index, station, t0, start))
+        .collect();
+
+    let step = Duration::from_seconds(SCAN_STEP_SECONDS);
+    let mut t = t0;
+    while t < t_end {
+        let stepped = t + step;
+        let t_next = if stepped < t_end { stepped } else { t_end };
+        let next = position_ecef(orbit, t_next);
+        let mid = probe_midpoint(t, t_next);
+        // Propagated on the first station that probes this step.
+        let mut at_mid: Option<Vec3> = None;
+        for scan in &mut scans {
+            scan.step(t, t_next, next, mid, &mut at_mid);
+        }
+        t = t_next;
     }
-    // Total order (`total_cmp`): a corrupt epoch must not panic a fleet
-    // run that reaches this sort from a protected entry point.
+
+    let mut windows: Vec<ContactWindow> = scans
+        .into_iter()
+        .flat_map(|scan| scan.finish(t_end))
+        .collect();
+    // Stable and total (`total_cmp`): a corrupt epoch must not panic a
+    // fleet run that reaches this sort from a protected entry point.
     windows.sort_by(|a, b| {
         a.start
             .seconds_since_start()
@@ -99,71 +133,112 @@ pub fn contact_windows(
     windows
 }
 
-fn station_windows(
-    orbit: &Orbit,
-    station: &GroundStation,
-    station_idx: usize,
-    horizon: Duration,
-) -> Vec<ContactWindow> {
-    let t0 = orbit.epoch();
-    let t_end = t0 + horizon;
-    let elevation = |t: Epoch| station.elevation_of(position_ecef(orbit, t));
-    let mask = station.min_elevation();
-    let visible = |t: Epoch| elevation(t) >= mask;
+/// One station's side of the shared coarse scan: its rise/set state and
+/// the windows found so far.
+struct StationScan<'a> {
+    orbit: &'a Orbit,
+    index: usize,
+    station: &'a GroundStation,
+    was_visible: bool,
+    rise: Option<Epoch>,
+    windows: Vec<ContactWindow>,
+}
 
-    let mut windows = Vec::new();
-    let mut t = t0;
-    let mut was_visible = visible(t);
-    let mut rise = if was_visible { Some(t) } else { None };
+impl<'a> StationScan<'a> {
+    fn new(
+        orbit: &'a Orbit,
+        index: usize,
+        station: &'a GroundStation,
+        t0: Epoch,
+        start: Vec3,
+    ) -> StationScan<'a> {
+        let was_visible = station.sees(start);
+        StationScan {
+            orbit,
+            index,
+            station,
+            was_visible,
+            rise: if was_visible { Some(t0) } else { None },
+            windows: Vec::new(),
+        }
+    }
 
-    let step = Duration::from_seconds(SCAN_STEP_SECONDS);
-    while t < t_end {
-        let stepped = t + step;
-        let t_next = if stepped < t_end { stepped } else { t_end };
-        let now_visible = visible(t_next);
-        if now_visible != was_visible {
-            let edge = bisect_transition(&visible, t, t_next);
+    fn elevation(&self, t: Epoch) -> f64 {
+        self.station.elevation_of(position_ecef(self.orbit, t))
+    }
+
+    fn visible(&self, t: Epoch) -> bool {
+        self.elevation(t) >= self.station.min_elevation()
+    }
+
+    /// Advances the scan over `(t, t_next]`, with the satellite at `next`
+    /// at `t_next`. `mid` is the step's first grazing-probe midpoint and
+    /// `at_mid` the satellite's position there, once propagated.
+    fn step(
+        &mut self,
+        t: Epoch,
+        t_next: Epoch,
+        next: Vec3,
+        mid: Option<Epoch>,
+        at_mid: &mut Option<Vec3>,
+    ) {
+        let now_visible = self.station.sees(next);
+        if now_visible != self.was_visible {
+            let edge = bisect_transition(&|e| self.visible(e), t, t_next);
             if now_visible {
-                rise = Some(edge);
-            } else if let Some(r) = rise.take() {
-                push_window(&mut windows, station_idx, station, r, edge);
+                self.rise = Some(edge);
+            } else if let Some(r) = self.rise.take() {
+                self.push(r, edge);
             }
-            was_visible = now_visible;
+            self.was_visible = now_visible;
         } else if !now_visible {
             // Both endpoints below the mask: a grazing pass shorter than
             // one scan step can still peak above it in between. Probe the
             // interior, but only while the elevation stays near the
             // horizon, so the extra cost is confined to grazing geometry.
-            if let Some(peak) = find_visible_between(&elevation, mask, t, t_next) {
-                let rise_edge = bisect_transition(&visible, t, peak);
-                let set_edge = bisect_transition(&visible, peak, t_next);
-                push_window(&mut windows, station_idx, station, rise_edge, set_edge);
+            if let Some(mid) = mid {
+                let position = *at_mid.get_or_insert_with(|| position_ecef(self.orbit, mid));
+                let el = self.station.elevation_of(position);
+                let elevation = |e| self.elevation(e);
+                let mask = self.station.min_elevation();
+                if let Some(peak) = probe_from(&elevation, mask, t, mid, t_next, el) {
+                    let visible = |e| self.visible(e);
+                    let rise_edge = bisect_transition(&visible, t, peak);
+                    let set_edge = bisect_transition(&visible, peak, t_next);
+                    self.push(rise_edge, set_edge);
+                }
             }
         }
-        t = t_next;
     }
-    if let Some(r) = rise {
-        push_window(&mut windows, station_idx, station, r, t_end);
+
+    /// Closes a window still open at the horizon and returns the windows.
+    fn finish(mut self, t_end: Epoch) -> Vec<ContactWindow> {
+        if let Some(r) = self.rise.take() {
+            self.push(r, t_end);
+        }
+        self.windows
     }
-    windows
+
+    fn push(&mut self, start: Epoch, end: Epoch) {
+        // Discard degenerate grazing passes shorter than a second.
+        if (end - start).as_seconds() >= 1.0 {
+            self.windows.push(ContactWindow {
+                station: self.index,
+                start,
+                end,
+                rate_bps: self.station.downlink_rate_bps(),
+            });
+        }
+    }
 }
 
-fn push_window(
-    windows: &mut Vec<ContactWindow>,
-    station_idx: usize,
-    station: &GroundStation,
-    start: Epoch,
-    end: Epoch,
-) {
-    // Discard degenerate grazing passes shorter than a second.
-    if (end - start).as_seconds() >= 1.0 {
-        windows.push(ContactWindow {
-            station: station_idx,
-            start,
-            end,
-            rate_bps: station.downlink_rate_bps(),
-        });
+/// The midpoint of `(lo, hi)`, or `None` once the interval is shorter
+/// than [`PROBE_FLOOR_SECONDS`] and no longer worth probing.
+fn probe_midpoint(lo: Epoch, hi: Epoch) -> Option<Epoch> {
+    if (hi - lo).as_seconds() < PROBE_FLOOR_SECONDS {
+        return None;
     }
+    Some(lo + (hi - lo) * 0.5)
 }
 
 /// Hunts for a visible instant strictly inside `(lo, hi)` when both
@@ -177,11 +252,20 @@ fn find_visible_between(
     lo: Epoch,
     hi: Epoch,
 ) -> Option<Epoch> {
-    if (hi - lo).as_seconds() < PROBE_FLOOR_SECONDS {
-        return None;
-    }
-    let mid = lo + (hi - lo) * 0.5;
-    let el = elevation(mid);
+    let mid = probe_midpoint(lo, hi)?;
+    probe_from(elevation, mask, lo, mid, hi, elevation(mid))
+}
+
+/// [`find_visible_between`] once the midpoint `mid` of `(lo, hi)` is
+/// known to sit at elevation `el`.
+fn probe_from(
+    elevation: &impl Fn(Epoch) -> f64,
+    mask: f64,
+    lo: Epoch,
+    mid: Epoch,
+    hi: Epoch,
+    el: f64,
+) -> Option<Epoch> {
     if el >= mask {
         return Some(mid);
     }
@@ -299,18 +383,15 @@ mod tests {
         assert!(!w.contains(w.end + Duration::from_seconds(5.0)));
     }
 
-    #[test]
-    fn grazing_passes_shorter_than_a_scan_step_are_found() {
-        // Regression for the coarse-scan miss: a pass that rises and sets
-        // entirely between two SCAN_STEP_SECONDS samples used to vanish.
-        //
-        // Synthesis: find the orbit's peak elevation over a day at a probe
-        // site, then set the station mask just below that peak so the
-        // above-mask interval lasts only ~5 s. Probe sites are tried until
-        // the pass also sits *between* 10 s grid samples, which is exactly
-        // the geometry the old endpoint-only scan could not see.
-        let orbit = Orbit::sun_synchronous(705_000.0);
-        let day = Duration::from_hours(24.0);
+    /// A station that sees `orbit` for only ~5 s of `day`, with the whole
+    /// pass between two coarse scan samples; returns it with the peak.
+    ///
+    /// Synthesis: find the orbit's peak elevation over the day at a probe
+    /// site, then set the station mask just below that peak so the
+    /// above-mask interval lasts only ~5 s. Probe sites are tried until
+    /// the pass also sits *between* 10 s grid samples, which is exactly
+    /// the geometry an endpoint-only scan cannot see.
+    fn grazing_station(orbit: &Orbit, day: Duration) -> (GroundStation, Epoch) {
         let t0 = orbit.epoch();
         let sites = [
             (45.0, 8.0),
@@ -324,7 +405,7 @@ mod tests {
         for (lat, lon) in sites {
             let probe = GroundStation::new("Probe", lat, lon, 5.0, 1e8);
             let elevation =
-                |t: Epoch| probe.elevation_of(crate::propagate::position_ecef(&orbit, t));
+                |t: Epoch| probe.elevation_of(crate::propagate::position_ecef(orbit, t));
             // Coarse argmax at 1 s resolution.
             let mut best_t = t0;
             let mut best_el = f64::NEG_INFINITY;
@@ -351,8 +432,20 @@ mod tests {
         }
         let (lat, lon, mask_deg, peak_t) =
             synthesized.expect("no probe site produced an off-grid grazing pass");
+        (
+            GroundStation::new("Grazing", lat, lon, mask_deg, 1e8),
+            peak_t,
+        )
+    }
 
-        let station = GroundStation::new("Grazing", lat, lon, mask_deg, 1e8);
+    #[test]
+    fn grazing_passes_shorter_than_a_scan_step_are_found() {
+        // Regression for the coarse-scan miss: a pass that rises and sets
+        // entirely between two SCAN_STEP_SECONDS samples used to vanish.
+        let orbit = Orbit::sun_synchronous(705_000.0);
+        let day = Duration::from_hours(24.0);
+        let t0 = orbit.epoch();
+        let (station, peak_t) = grazing_station(&orbit, day);
         let seg = GroundSegment::single(station.clone());
         let windows = contact_windows(&orbit, &seg, day);
         let hit = windows
@@ -376,6 +469,56 @@ mod tests {
             );
             k += 1.0;
         }
+    }
+
+    /// `contact_windows` run on each station alone, relabeled with the
+    /// station's index, concatenated in station order and stable-sorted.
+    fn merged_single_station_windows(
+        orbit: &Orbit,
+        segment: &GroundSegment,
+        horizon: Duration,
+    ) -> Vec<ContactWindow> {
+        let mut merged: Vec<ContactWindow> = Vec::new();
+        for (index, station) in segment.iter().enumerate() {
+            let alone = contact_windows(orbit, &GroundSegment::single(station.clone()), horizon);
+            merged.extend(alone.into_iter().map(|w| ContactWindow {
+                station: index,
+                ..w
+            }));
+        }
+        merged.sort_by(|a, b| {
+            a.start
+                .seconds_since_start()
+                .total_cmp(&b.start.seconds_since_start())
+        });
+        merged
+    }
+
+    #[test]
+    fn shared_scan_equals_single_station_scans() {
+        // The shared scan must find, for every station, exactly the
+        // windows a scan of that station alone finds: on the Landsat
+        // segment over phased orbits, and on a segment whose fourth
+        // station only sees a grazing pass between two scan samples, so
+        // the shared first probe midpoint must serve a station other
+        // than the first.
+        let day = Duration::from_hours(24.0);
+        let base = Orbit::sun_synchronous(705_000.0);
+        let landsat = GroundSegment::landsat();
+        let fleet = crate::constellation::Constellation::same_plane(base, 24);
+        for orbit in fleet.orbits().iter().step_by(5) {
+            let shared = contact_windows(orbit, &landsat, day);
+            assert!(!shared.is_empty());
+            assert_eq!(shared, merged_single_station_windows(orbit, &landsat, day));
+        }
+
+        let (grazing, peak_t) = grazing_station(&base, day);
+        let mut stations = landsat.stations().to_vec();
+        stations.insert(3, grazing);
+        let segment = GroundSegment::new(stations);
+        let shared = contact_windows(&base, &segment, day);
+        assert!(shared.iter().any(|w| w.station == 3 && w.contains(peak_t)));
+        assert_eq!(shared, merged_single_station_windows(&base, &segment, day));
     }
 
     #[test]

@@ -62,33 +62,69 @@ pub fn j2_secular_rates(orbit: &Orbit) -> (f64, f64, f64) {
 
 /// Propagates an orbit to `epoch`, returning the ECI state vector.
 pub fn propagate(orbit: &Orbit, epoch: Epoch) -> StateVector {
-    let el = orbit.elements();
-    let dt = (epoch - orbit.epoch()).as_seconds();
-    let n = orbit.mean_motion();
-    let (raan_dot, argp_dot, m_dot_corr) = j2_secular_rates(orbit);
+    let p = Perifocal::at(orbit, epoch);
+    let r_mag = p.a * (1.0 - p.ecc * p.cos_e);
 
-    let raan = el.raan + raan_dot * dt;
-    let argp = el.arg_perigee + argp_dot * dt;
-    let m = el.mean_anomaly + (n + m_dot_corr) * dt;
+    // Perifocal velocity.
+    let vx = -(p.n * p.a * p.a / r_mag) * p.sin_e;
+    let vy = (p.n * p.a * p.a / r_mag) * p.sqrt_1me2 * p.cos_e;
 
-    let e_anom = solve_kepler(m, el.eccentricity);
-    let (sin_e, cos_e) = e_anom.sin_cos();
-    let a = el.semi_major_axis;
-    let ecc = el.eccentricity;
-    let r_mag = a * (1.0 - ecc * cos_e);
-
-    // Perifocal position and velocity.
-    let sqrt_1me2 = (1.0 - ecc * ecc).sqrt();
-    let x_p = a * (cos_e - ecc);
-    let y_p = a * sqrt_1me2 * sin_e;
-    let vx = -(n * a * a / r_mag) * sin_e;
-    let vy = (n * a * a / r_mag) * sqrt_1me2 * cos_e;
-
-    let pos = perifocal_to_eci(Vec3::new(x_p, y_p, 0.0), raan, el.inclination, argp);
-    let vel = perifocal_to_eci(Vec3::new(vx, vy, 0.0), raan, el.inclination, argp);
     StateVector {
-        position: pos,
-        velocity: vel,
+        position: p.position(),
+        velocity: p.to_eci(Vec3::new(vx, vy, 0.0)),
+    }
+}
+
+/// An orbit's state at one epoch in its perifocal frame: the shared
+/// first half of [`propagate`] and [`position_ecef`].
+struct Perifocal {
+    a: f64,
+    ecc: f64,
+    n: f64,
+    sqrt_1me2: f64,
+    sin_e: f64,
+    cos_e: f64,
+    raan: f64,
+    inclination: f64,
+    argp: f64,
+}
+
+impl Perifocal {
+    fn at(orbit: &Orbit, epoch: Epoch) -> Perifocal {
+        let el = orbit.elements();
+        let dt = (epoch - orbit.epoch()).as_seconds();
+        let n = orbit.mean_motion();
+        let (raan_dot, argp_dot, m_dot_corr) = j2_secular_rates(orbit);
+
+        let raan = el.raan + raan_dot * dt;
+        let argp = el.arg_perigee + argp_dot * dt;
+        let m = el.mean_anomaly + (n + m_dot_corr) * dt;
+
+        let e_anom = solve_kepler(m, el.eccentricity);
+        let (sin_e, cos_e) = e_anom.sin_cos();
+        let ecc = el.eccentricity;
+        Perifocal {
+            a: el.semi_major_axis,
+            ecc,
+            n,
+            sqrt_1me2: (1.0 - ecc * ecc).sqrt(),
+            sin_e,
+            cos_e,
+            raan,
+            inclination: el.inclination,
+            argp,
+        }
+    }
+
+    /// ECI position, meters.
+    fn position(&self) -> Vec3 {
+        let x_p = self.a * (self.cos_e - self.ecc);
+        let y_p = self.a * self.sqrt_1me2 * self.sin_e;
+        self.to_eci(Vec3::new(x_p, y_p, 0.0))
+    }
+
+    fn to_eci(&self, v: Vec3) -> Vec3 {
+        perifocal_to_eci(v, self.raan, self.inclination, self.argp)
     }
 }
 
@@ -107,10 +143,11 @@ pub fn ground_track_point(orbit: &Orbit, epoch: Epoch) -> Geodetic {
     ecef_to_geodetic(ecef)
 }
 
-/// Satellite ECEF position in meters at `epoch`.
+/// Satellite ECEF position in meters at `epoch`. Equals
+/// `eci_to_ecef(propagate(orbit, epoch).position, epoch)` without
+/// computing the velocity.
 pub fn position_ecef(orbit: &Orbit, epoch: Epoch) -> Vec3 {
-    let state = propagate(orbit, epoch);
-    eci_to_ecef(state.position, epoch)
+    eci_to_ecef(Perifocal::at(orbit, epoch).position(), epoch)
 }
 
 #[cfg(test)]
@@ -221,6 +258,31 @@ mod tests {
         }
         let covered = buckets.iter().filter(|b| **b).count();
         assert!(covered >= 20, "covered {covered}/24 longitude buckets");
+    }
+
+    #[test]
+    fn position_ecef_equals_rotated_propagated_position() {
+        let base = landsat();
+        let eccentric = Orbit::new(
+            crate::orbit::KeplerianElements {
+                eccentricity: 0.3,
+                arg_perigee: 1.1,
+                ..*base.elements()
+            },
+            base.epoch(),
+        );
+        for orbit in [base, base.with_mean_anomaly(2.5), eccentric] {
+            for i in 0..500 {
+                let t = orbit.epoch() + Duration::from_seconds(i as f64 * 173.3);
+                let full = eci_to_ecef(propagate(&orbit, t).position, t);
+                let fast = position_ecef(&orbit, t);
+                assert_eq!(
+                    (fast.x.to_bits(), fast.y.to_bits(), fast.z.to_bits()),
+                    (full.x.to_bits(), full.y.to_bits(), full.z.to_bits()),
+                    "position at step {i}"
+                );
+            }
+        }
     }
 
     #[test]

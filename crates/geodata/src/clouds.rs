@@ -7,7 +7,7 @@
 //! cover in the tropics (ITCZ) and the mid-latitude storm belts, leaving
 //! the subtropical deserts comparatively clear — as on Earth.
 
-use crate::noise::NoiseField;
+use crate::noise::{FbmCursor, Memo, NoiseField};
 use serde::{Deserialize, Serialize};
 
 /// A seeded, time-evolving cloud field.
@@ -84,10 +84,26 @@ impl CloudField {
     /// time (days). Values above [`CLOUD_TRUTH_THRESHOLD`] are cloudy in
     /// the truth mask.
     pub fn optical_depth(&self, lat_deg: f64, lon_deg: f64, t_days: f64) -> f64 {
-        let x = lon_deg * lat_deg.to_radians().cos() * CLOUD_SCALE;
+        self.optical_depth_with(&mut CloudCursor::default(), lat_deg, lon_deg, t_days)
+    }
+
+    /// [`CloudField::optical_depth`] through a cursor that remembers the
+    /// last latitude's terms and the field's last lattice cells.
+    pub(crate) fn optical_depth_with(
+        &self,
+        cursor: &mut CloudCursor,
+        lat_deg: f64,
+        lon_deg: f64,
+        t_days: f64,
+    ) -> f64 {
+        let (cos_lat, climate) = cursor.latitude.get(lat_deg.to_bits(), || {
+            (lat_deg.to_radians().cos(), latitude_climatology(lat_deg))
+        });
+        let x = lon_deg * cos_lat * CLOUD_SCALE;
         let y = lat_deg * CLOUD_SCALE;
-        let raw = self.field.fbm(x, y, t_days * CLOUD_TIME_SCALE, 6, 2.1, 0.55);
-        let climate = latitude_climatology(lat_deg);
+        let raw = cursor
+            .field
+            .fbm(&self.field, x, y, t_days * CLOUD_TIME_SCALE, 6, 2.1, 0.55);
         (raw + self.bias + climate).clamp(0.0, 1.0)
     }
 
@@ -116,6 +132,15 @@ impl CloudField {
     }
 }
 
+/// Per-frame memo state for [`CloudField::optical_depth_with`]: the
+/// field's lattice cursor and the last latitude's `(cos(lat),
+/// latitude_climatology(lat))`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CloudCursor {
+    field: FbmCursor,
+    latitude: Memo<u64, (f64, f64)>,
+}
+
 /// Latitude-dependent cloudiness bias: positive in the ITCZ (equator) and
 /// mid-latitude storm belts (~55 deg), negative over the subtropical dry
 /// zones (~25 deg).
@@ -131,6 +156,36 @@ fn latitude_climatology(lat_deg: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::noise::oracle;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn a_reused_cursor_matches_the_oracle_optical_depth(
+            seed in 0u64..1_000,
+            bias in -0.2f64..0.2,
+            t_days in prop::sample::select(vec![0.0, 0.37, 3.5]),
+            steps in prop::collection::vec((0u8..3, -89.0f64..89.0, -180.0f64..180.0), 1..48),
+        ) {
+            let clouds = CloudField {
+                field: NoiseField::new(seed),
+                bias,
+                target_coverage: 0.52,
+            };
+            let mut cursor = CloudCursor::default();
+            for (lat, lon) in oracle::scan_walk(&steps) {
+                let x = lon * lat.to_radians().cos() * CLOUD_SCALE;
+                let raw = oracle::fbm(seed, x, lat * CLOUD_SCALE, t_days * CLOUD_TIME_SCALE, 6, 2.1, 0.55);
+                let want = (raw + bias + latitude_climatology(lat)).clamp(0.0, 1.0).to_bits();
+                prop_assert_eq!(clouds.optical_depth(lat, lon, t_days).to_bits(), want);
+                prop_assert_eq!(
+                    clouds.optical_depth_with(&mut cursor, lat, lon, t_days).to_bits(),
+                    want
+                );
+            }
+        }
+    }
 
     #[test]
     fn coverage_calibration_is_close() {

@@ -4,10 +4,18 @@
 //! point: a square raster of multispectral pixels with, for evaluation
 //! purposes, the per-pixel truth (cloud mask and surface type) that a real
 //! dataset would provide as annotations.
+//!
+//! [`World::render_frame`] walks the raster in scan order through one set
+//! of lattice cursors (see [`crate::noise`]) for the surface, cloud and
+//! confuser fields. The cursors live on its stack for one frame, so
+//! frames rendered concurrently share no state, and every pixel equals
+//! what the scalar [`SurfaceMap::classify`], [`CloudField::optical_depth`]
+//! and [`crate::pixel::synthesize_pixel`] return for it.
 
-use crate::clouds::{CloudField, CLOUD_TRUTH_THRESHOLD};
-use crate::pixel::{synthesize_pixel, Confusers, PixelEnvironment, CHANNELS};
-use crate::surface::{SurfaceMap, SurfaceType};
+use crate::clouds::{CloudCursor, CloudField, CLOUD_TRUTH_THRESHOLD};
+use crate::noise::FbmCursor;
+use crate::pixel::{synthesize_pixel_with, Confusers, PixelEnvironment, CHANNELS};
+use crate::surface::{SurfaceCursor, SurfaceMap, SurfaceType};
 use serde::{Deserialize, Serialize};
 
 /// The procedural world: surface map + cloud field + confusers, all from
@@ -86,6 +94,11 @@ impl World {
         let mut channels = vec![0.0f32; px * px * CHANNELS];
         let mut truth_cloudy = vec![false; px * px];
         let mut surface = Vec::with_capacity(px * px);
+        // This frame's lattice memos, in scan order (see `noise`). They
+        // live on this stack, so concurrent renders share nothing.
+        let mut surface_cursor = SurfaceCursor::default();
+        let mut cloud_cursor = CloudCursor::default();
+        let mut confuser_cursor = FbmCursor::default();
 
         for row in 0..px {
             // Row 0 at the north edge.
@@ -95,8 +108,12 @@ impl World {
                 let dx_km = -half + frame_km * (col as f64 + 0.5) / px as f64;
                 let p_lon = lon_deg + dx_km * deg_per_km / cos_lat;
 
-                let s = self.surface.classify(p_lat, p_lon);
-                let depth = self.clouds.optical_depth(p_lat, p_lon, t_days);
+                let s = self
+                    .surface
+                    .classify_with(&mut surface_cursor, p_lat, p_lon);
+                let depth = self
+                    .clouds
+                    .optical_depth_with(&mut cloud_cursor, p_lat, p_lon, t_days);
                 let env = PixelEnvironment {
                     surface: s,
                     cloud_depth: depth,
@@ -104,8 +121,14 @@ impl World {
                     lon_deg: p_lon,
                     t_days,
                 };
-                let values =
-                    synthesize_pixel(&env, &self.confusers, self.seed, col as i64, row as i64);
+                let values = synthesize_pixel_with(
+                    &mut confuser_cursor,
+                    &env,
+                    &self.confusers,
+                    self.seed,
+                    col as i64,
+                    row as i64,
+                );
                 let idx = row * px + col;
                 channels[idx * CHANNELS..(idx + 1) * CHANNELS]
                     .copy_from_slice(&values);

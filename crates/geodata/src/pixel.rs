@@ -16,7 +16,7 @@
 //! Section 5.3) — and here it emerges from the radiometry rather than
 //! being assumed.
 
-use crate::noise::{pixel_noise, NoiseField};
+use crate::noise::{FbmCursor, NoiseField, PixelNoise};
 use crate::surface::SurfaceType;
 use serde::{Deserialize, Serialize};
 
@@ -70,13 +70,19 @@ impl Confusers {
 
     /// Additive per-channel perturbation for a pixel environment.
     pub fn perturbation(&self, env: &PixelEnvironment) -> [f64; CHANNELS] {
+        self.perturbation_with(&mut FbmCursor::default(), env)
+    }
+
+    /// [`Confusers::perturbation`] through a lattice cursor shared by
+    /// the three confuser streams (a pixel draws at most one).
+    fn perturbation_with(&self, cursor: &mut FbmCursor, env: &PixelEnvironment) -> [f64; CHANNELS] {
         let x = env.lon_deg * CONFUSER_SCALE;
         let y = env.lat_deg * CONFUSER_SCALE;
         let mut delta = [0.0; CHANNELS];
         match env.surface {
             SurfaceType::Ocean | SurfaceType::Wetland => {
                 // Sun glint: patchy visible brightening over water.
-                let g = self.glint.fbm5(x, y, env.t_days * 0.5);
+                let g = cursor.fbm5(&self.glint, x, y, env.t_days * 0.5);
                 if g > 0.6 {
                     let strength = (g - 0.6) * 1.3;
                     delta[0] += 0.45 * strength;
@@ -87,7 +93,7 @@ impl Confusers {
             }
             SurfaceType::Desert => {
                 // Dust plumes raise the cirrus band and redden the visible.
-                let d = self.dust.fbm5(x, y, env.t_days * 0.3);
+                let d = cursor.fbm5(&self.dust, x, y, env.t_days * 0.3);
                 if d > 0.55 {
                     let strength = (d - 0.55) * 1.1;
                     delta[4] += 0.30 * strength;
@@ -97,7 +103,7 @@ impl Confusers {
             SurfaceType::Snow => {
                 // Snow's intrinsic cirrus-band response varies with grain
                 // size; modeled as a smooth perturbation.
-                let s = self.dust.fbm5(x + 37.0, y - 11.0, env.t_days * 0.1);
+                let s = cursor.fbm5(&self.dust, x + 37.0, y - 11.0, env.t_days * 0.1);
                 delta[4] += 0.10 * s;
             }
             _ => {}
@@ -117,8 +123,29 @@ pub fn synthesize_pixel(
     px: i64,
     py: i64,
 ) -> [f32; CHANNELS] {
+    synthesize_pixel_with(
+        &mut FbmCursor::default(),
+        env,
+        confusers,
+        noise_seed,
+        px,
+        py,
+    )
+}
+
+/// [`synthesize_pixel`] with the confusers drawn through `cursor`. All
+/// channels' sensor noise comes from one set of hash chains.
+pub(crate) fn synthesize_pixel_with(
+    cursor: &mut FbmCursor,
+    env: &PixelEnvironment,
+    confusers: &Confusers,
+    noise_seed: u64,
+    px: i64,
+    py: i64,
+) -> [f32; CHANNELS] {
     let surface_albedo = env.surface.albedo();
-    let confusion = confusers.perturbation(env);
+    let confusion = confusers.perturbation_with(cursor, env);
+    let noise = PixelNoise::new(noise_seed, px, py);
     // Cloud transmissivity: optical depth in [0,1] maps to opacity with a
     // soft knee so thin cloud leaves the surface partially visible.
     let opacity = cloud_opacity(env.cloud_depth);
@@ -126,7 +153,7 @@ pub fn synthesize_pixel(
     for (c, slot) in out.iter_mut().enumerate() {
         let clear = (surface_albedo[c] + confusion[c]).clamp(0.0, 1.0);
         let value = clear * (1.0 - opacity) + CLOUD_ALBEDO[c] * opacity;
-        let noisy = value + pixel_noise(noise_seed, px, py, c, SENSOR_NOISE_SIGMA);
+        let noisy = value + noise.channel(c, SENSOR_NOISE_SIGMA);
         *slot = noisy.clamp(0.0, 1.0) as f32;
     }
     out
@@ -145,6 +172,92 @@ pub fn cloud_opacity(depth: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::noise::{oracle, pixel_noise};
+    use proptest::prelude::*;
+
+    /// [`Confusers::perturbation`] as the scalar code computed it, every
+    /// noise sample drawn from the oracle.
+    fn oracle_perturbation(confusers: &Confusers, env: &PixelEnvironment) -> [f64; CHANNELS] {
+        let fbm5 = |field: &NoiseField, x, y, t| oracle::fbm(field.seed(), x, y, t, 5, 2.0, 0.5);
+        let x = env.lon_deg * CONFUSER_SCALE;
+        let y = env.lat_deg * CONFUSER_SCALE;
+        let mut delta = [0.0; CHANNELS];
+        match env.surface {
+            SurfaceType::Ocean | SurfaceType::Wetland => {
+                let g = fbm5(&confusers.glint, x, y, env.t_days * 0.5);
+                if g > 0.6 {
+                    let strength = (g - 0.6) * 1.3;
+                    for (slot, k) in delta.iter_mut().zip([0.45, 0.45, 0.42, 0.25]) {
+                        *slot += k * strength;
+                    }
+                }
+            }
+            SurfaceType::Desert => {
+                let d = fbm5(&confusers.dust, x, y, env.t_days * 0.3);
+                if d > 0.55 {
+                    let strength = (d - 0.55) * 1.1;
+                    delta[4] += 0.30 * strength;
+                    delta[2] += 0.10 * strength;
+                }
+            }
+            SurfaceType::Snow => {
+                delta[4] += 0.10 * fbm5(&confusers.dust, x + 37.0, y - 11.0, env.t_days * 0.1);
+            }
+            _ => {}
+        }
+        delta
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn a_reused_cursor_synthesizes_like_the_oracle(
+            seed in 0u64..1_000,
+            t_days in prop::sample::select(vec![0.0, 0.37, 3.5]),
+            steps in prop::collection::vec(
+                ((0u8..3, -89.0f64..89.0, -180.0f64..180.0), 0usize..8, 0.0f64..1.0),
+                1..48,
+            ),
+        ) {
+            // Every surface, so each confuser branch (glint, dust, snow
+            // grain) shares the cursor with the others.
+            let confusers = Confusers::new(seed);
+            let mut cursor = FbmCursor::default();
+            let walk = oracle::scan_walk(&steps.iter().map(|s| s.0).collect::<Vec<_>>());
+            for (((lat, lon), &(_, surface, depth)), i) in walk.iter().copied().zip(&steps).zip(0i64..) {
+                let env = PixelEnvironment {
+                    surface: SurfaceType::ALL[surface],
+                    cloud_depth: depth,
+                    lat_deg: lat,
+                    lon_deg: lon,
+                    t_days,
+                };
+                let confusion = oracle_perturbation(&confusers, &env);
+                prop_assert_eq!(confusers.perturbation(&env), confusion);
+                prop_assert_eq!(confusers.perturbation_with(&mut cursor, &env), confusion);
+                // The pixel as drawn channel by channel with `pixel_noise`.
+                let (px, py) = (i % 7 - 3, i / 7);
+                let opacity = cloud_opacity(depth);
+                let albedo = env.surface.albedo();
+                let mut want = [0.0f32; CHANNELS];
+                for (c, slot) in want.iter_mut().enumerate() {
+                    let clear = (albedo[c] + confusion[c]).clamp(0.0, 1.0);
+                    let value = clear * (1.0 - opacity) + CLOUD_ALBEDO[c] * opacity;
+                    let noise = pixel_noise(seed, px, py, c, SENSOR_NOISE_SIGMA);
+                    prop_assert_eq!(
+                        noise.to_bits(),
+                        oracle::pixel_noise(seed, px, py, c, SENSOR_NOISE_SIGMA).to_bits()
+                    );
+                    *slot = (value + noise).clamp(0.0, 1.0) as f32;
+                }
+                prop_assert_eq!(synthesize_pixel(&env, &confusers, seed, px, py), want);
+                prop_assert_eq!(
+                    synthesize_pixel_with(&mut cursor, &env, &confusers, seed, px, py),
+                    want
+                );
+            }
+        }
+    }
 
     fn env(surface: SurfaceType, depth: f64) -> PixelEnvironment {
         PixelEnvironment {

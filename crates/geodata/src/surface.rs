@@ -7,7 +7,7 @@
 //! latitude-driven temperature and noise-driven moisture — but its
 //! statistics are tuned to Earth-like values (about two-thirds ocean).
 
-use crate::noise::NoiseField;
+use crate::noise::{FbmCursor, Memo, NoiseField};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -146,25 +146,44 @@ impl SurfaceMap {
 
     /// Raw elevation value in `[0, 1]` at a geodetic point (degrees).
     pub fn elevation(&self, lat_deg: f64, lon_deg: f64) -> f64 {
-        let (x, y) = wrap_coords(lat_deg, lon_deg, CONTINENT_SCALE);
-        self.elevation.fbm5(x, y, 0.0)
+        self.elevation_with(&mut SurfaceCursor::default(), lat_deg, lon_deg)
+    }
+
+    fn elevation_with(&self, cursor: &mut SurfaceCursor, lat_deg: f64, lon_deg: f64) -> f64 {
+        let (x, y) = wrap_coords(cursor.cos_lat(lat_deg), lat_deg, lon_deg, CONTINENT_SCALE);
+        cursor.elevation.fbm5(&self.elevation, x, y, 0.0)
     }
 
     /// Classifies the surface at a geodetic point (degrees).
     pub fn classify(&self, lat_deg: f64, lon_deg: f64) -> SurfaceType {
-        let elevation = self.elevation(lat_deg, lon_deg);
+        self.classify_with(&mut SurfaceCursor::default(), lat_deg, lon_deg)
+    }
+
+    /// [`SurfaceMap::classify`] through a cursor that remembers the last
+    /// latitude's cosine and each noise stream's last lattice cells.
+    pub(crate) fn classify_with(
+        &self,
+        cursor: &mut SurfaceCursor,
+        lat_deg: f64,
+        lon_deg: f64,
+    ) -> SurfaceType {
+        let elevation = self.elevation_with(cursor, lat_deg, lon_deg);
         if elevation < self.sea_level {
             return SurfaceType::Ocean;
         }
 
         // Temperature falls with |latitude| and altitude; a little noise
         // keeps biome boundaries organic.
-        let (mx, my) = wrap_coords(lat_deg, lon_deg, MOISTURE_SCALE);
-        let moisture = self.moisture.fbm5(mx, my, 0.0);
-        let temp_noise = (self.moisture.value(mx * 3.0, my * 3.0, 1.0) - 0.5) * 0.15;
+        let cos_lat = cursor.cos_lat(lat_deg);
+        let (mx, my) = wrap_coords(cos_lat, lat_deg, lon_deg, MOISTURE_SCALE);
+        let moisture = cursor.moisture.fbm5(&self.moisture, mx, my, 0.0);
+        let temp_noise = (cursor
+            .temperature
+            .value(&self.moisture, mx * 3.0, my * 3.0, 1.0)
+            - 0.5)
+            * 0.15;
         let temperature =
-            (lat_deg.to_radians().cos() - (elevation - self.sea_level) * 0.8 + temp_noise)
-                .clamp(0.0, 1.0);
+            (cos_lat - (elevation - self.sea_level) * 0.8 + temp_noise).clamp(0.0, 1.0);
 
         if temperature < 0.28 {
             return SurfaceType::Snow;
@@ -174,8 +193,8 @@ impl SurfaceMap {
         }
 
         // Sparse urban patches on temperate land.
-        let (ux, uy) = wrap_coords(lat_deg, lon_deg, URBAN_SCALE);
-        if self.urban.value(ux, uy, 0.0) > 0.965 {
+        let (ux, uy) = wrap_coords(cos_lat, lat_deg, lon_deg, URBAN_SCALE);
+        if cursor.urban.value(&self.urban, ux, uy, 0.0) > 0.965 {
             return SurfaceType::Urban;
         }
 
@@ -214,11 +233,29 @@ impl SurfaceMap {
     }
 }
 
+/// Per-frame memo state for [`SurfaceMap::classify_with`]: a lattice
+/// cursor per noise stream and the last latitude's cosine.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SurfaceCursor {
+    elevation: FbmCursor,
+    moisture: FbmCursor,
+    temperature: FbmCursor,
+    urban: FbmCursor,
+    cos_lat: Memo<u64, f64>,
+}
+
+impl SurfaceCursor {
+    fn cos_lat(&mut self, lat_deg: f64) -> f64 {
+        self.cos_lat
+            .get(lat_deg.to_bits(), || lat_deg.to_radians().cos())
+    }
+}
+
 /// Maps (lat, lon) in degrees into noise-space coordinates at a given
-/// spatial scale, compressing longitude by cos(lat) so features have
-/// roughly isotropic ground dimensions.
-fn wrap_coords(lat_deg: f64, lon_deg: f64, scale: f64) -> (f64, f64) {
-    let x = lon_deg * lat_deg.to_radians().cos() / scale.recip();
+/// spatial scale, compressing longitude by `cos_lat` (the cosine of the
+/// latitude) so features have roughly isotropic ground dimensions.
+fn wrap_coords(cos_lat: f64, lat_deg: f64, lon_deg: f64, scale: f64) -> (f64, f64) {
+    let x = lon_deg * cos_lat / scale.recip();
     let y = lat_deg / scale.recip();
     (x, y)
 }
@@ -226,6 +263,68 @@ fn wrap_coords(lat_deg: f64, lon_deg: f64, scale: f64) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::noise::oracle;
+    use proptest::prelude::*;
+
+    /// Elevation and surface type as the scalar code computed them, every
+    /// noise sample drawn from the oracle.
+    fn oracle_classify(map: &SurfaceMap, lat: f64, lon: f64) -> (f64, SurfaceType) {
+        let fbm5 = |field: &NoiseField, x, y| oracle::fbm(field.seed(), x, y, 0.0, 5, 2.0, 0.5);
+        let wrap = |scale: f64| {
+            (
+                lon * lat.to_radians().cos() / scale.recip(),
+                lat / scale.recip(),
+            )
+        };
+        let (x, y) = wrap(CONTINENT_SCALE);
+        let elevation = fbm5(&map.elevation, x, y);
+        if elevation < map.sea_level {
+            return (elevation, SurfaceType::Ocean);
+        }
+        let (mx, my) = wrap(MOISTURE_SCALE);
+        let moisture = fbm5(&map.moisture, mx, my);
+        let temp_noise = (oracle::value(map.moisture.seed(), mx * 3.0, my * 3.0, 1.0) - 0.5) * 0.15;
+        let temperature = (lat.to_radians().cos() - (elevation - map.sea_level) * 0.8 + temp_noise)
+            .clamp(0.0, 1.0);
+        let (ux, uy) = wrap(URBAN_SCALE);
+        let surface = if temperature < 0.28 {
+            SurfaceType::Snow
+        } else if temperature < 0.42 {
+            SurfaceType::Tundra
+        } else if oracle::value(map.urban.seed(), ux, uy, 0.0) > 0.965 {
+            SurfaceType::Urban
+        } else if moisture < 0.38 && temperature > 0.7 {
+            SurfaceType::Desert
+        } else if elevation < map.sea_level + 0.02 && moisture > 0.6 {
+            SurfaceType::Wetland
+        } else if moisture > 0.55 {
+            SurfaceType::Forest
+        } else {
+            SurfaceType::Grassland
+        };
+        (elevation, surface)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn a_reused_cursor_classifies_like_the_oracle(
+            seed in 0u64..1_000,
+            steps in prop::collection::vec((0u8..3, -89.0f64..89.0, -180.0f64..180.0), 1..48),
+        ) {
+            // The walk reuses one cursor across scan lines, row changes
+            // and unrelated points.
+            let map = SurfaceMap::new(seed);
+            let mut cursor = SurfaceCursor::default();
+            for (lat, lon) in oracle::scan_walk(&steps) {
+                let (elevation, surface) = oracle_classify(&map, lat, lon);
+                prop_assert_eq!(map.elevation(lat, lon).to_bits(), elevation.to_bits());
+                prop_assert_eq!(map.elevation_with(&mut cursor, lat, lon).to_bits(), elevation.to_bits());
+                prop_assert_eq!(map.classify(lat, lon), surface);
+                prop_assert_eq!(map.classify_with(&mut cursor, lat, lon), surface);
+            }
+        }
+    }
 
     #[test]
     fn ocean_fraction_is_earth_like() {

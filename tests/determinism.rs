@@ -928,3 +928,106 @@ fn black_box_reports_are_byte_identical_at_any_worker_count() {
         assert_eq!(wire_1, wire_n, "{workers}-worker sealed black-box diverged");
     }
 }
+
+/// FNV-1a digest of every bit a frame carries: the channel values, the
+/// truth cloud mask and the surface map.
+fn frame_digest(frame: &kodan_geodata::FrameImage) -> u64 {
+    let mut bytes = Vec::with_capacity(frame.channels().len() * 4 + frame.pixel_count() * 2);
+    for value in frame.channels() {
+        bytes.extend_from_slice(&value.to_bits().to_le_bytes());
+    }
+    bytes.extend(frame.truth_cloudy().iter().map(|&cloudy| u8::from(cloudy)));
+    bytes.extend(frame.surface().iter().map(|s| s.index() as u8));
+    fnv1a64(&bytes)
+}
+
+#[test]
+fn rendered_frames_match_pinned_bits() {
+    // The render kernel's output, pinned bit for bit: the default
+    // 48-frame mission day at seed 42, plus 12 frames on each of three
+    // phased orbits of the 24-satellite fleet. The set holds every
+    // surface with a confuser branch (glint on ocean and wetland, dust
+    // on desert, grain-size cirrus on snow), so a change to any noise
+    // path shows here.
+    use kodan_cote::constellation::Constellation;
+    use kodan_geodata::SurfaceType;
+
+    let world = World::new(42);
+    let env = SpaceEnvironment::fixed(0.21);
+    let mut frames = Mission::new(&env, &world, MissionParams::default_sampling()).sample_frames();
+    let fleet = Constellation::same_plane(env.orbit, 24);
+    let params = MissionParams {
+        sample_frames: 12,
+        ..MissionParams::default_sampling()
+    };
+    for sat in [5, 12, 19] {
+        let phased = SpaceEnvironment {
+            orbit: fleet.orbits()[sat],
+            ..env.clone()
+        };
+        frames.extend(Mission::new(&phased, &world, params).sample_frames());
+    }
+    assert_eq!(frames.len(), 48 + 3 * 12);
+    for surface in [
+        SurfaceType::Ocean,
+        SurfaceType::Wetland,
+        SurfaceType::Desert,
+        SurfaceType::Snow,
+    ] {
+        assert!(
+            frames.iter().any(|f| f.surface().contains(&surface)),
+            "no {surface} pixel in the pinned frames"
+        );
+    }
+    let digests: Vec<u8> = frames
+        .iter()
+        .flat_map(|f| frame_digest(f).to_le_bytes())
+        .collect();
+    assert_eq!(
+        fnv1a64(&digests),
+        0xa9e5_d72c_25c8_0982,
+        "rendered frames drifted"
+    );
+}
+
+#[test]
+fn space_segment_passes_match_pinned_bits() {
+    // The contact kernel's output, pinned bit for bit: every served pass
+    // and the total capacity of one day of the Landsat ground segment,
+    // for a single satellite and for 24 same-plane satellites.
+    use kodan_cote::constellation::Constellation;
+    use kodan_cote::ground::GroundSegment;
+    use kodan_cote::sim::simulate_space_segment;
+    use kodan_cote::{Duration, Imager, Orbit};
+
+    let digest = |satellites: usize| {
+        let report = simulate_space_segment(
+            &Constellation::same_plane(Orbit::sun_synchronous(705_000.0), satellites),
+            &Imager::landsat_oli(),
+            &GroundSegment::landsat(),
+            Duration::from_days(1.0),
+        );
+        let mut text = format!("{:016x}\n", report.capacity_bits.to_bits());
+        for pass in &report.passes {
+            text.push_str(&format!(
+                "{} {} {:016x} {:016x} {:016x}\n",
+                pass.satellite,
+                pass.station,
+                pass.start.seconds_since_start().to_bits(),
+                pass.end.seconds_since_start().to_bits(),
+                pass.rate_bps.to_bits(),
+            ));
+        }
+        (report.passes.len(), fnv1a64(text.as_bytes()))
+    };
+    assert_eq!(
+        digest(1),
+        (41, 0xe39f_84c5_882c_bf27),
+        "single-satellite passes drifted"
+    );
+    assert_eq!(
+        digest(24),
+        (963, 0x6224_c10c_2807_797e),
+        "24-satellite passes drifted"
+    );
+}
