@@ -41,6 +41,7 @@ fn main() {
     ] {
         let artifacts = bench_artifacts(arch);
         let ga = artifacts.grid_artifacts(6).expect("grid 6 swept");
+        let global = ga.models.first().expect("slot 0 holds the global model");
         let train_tiles = train.tiles(6);
         let val_tiles = val.tiles(6);
         let k = artifacts.contexts.len();
@@ -71,8 +72,8 @@ fn main() {
         let mut truth_cm = ConfusionMatrix::new();
         for tile in &val_tiles {
             let c = artifacts.engine.classify(tile).0;
-            let matched = ga.context_models[c].as_ref().unwrap_or(&ga.global_model);
-            let truth = truth_models[c].as_ref().unwrap_or(&ga.global_model);
+            let matched = ga.context_model(ContextId(c)).unwrap_or(global);
+            let truth = truth_models[c].as_ref().unwrap_or(global);
             matched_cm += matched.evaluate_tile(tile);
             truth_cm += truth.evaluate_tile(tile);
         }

@@ -77,11 +77,6 @@ fn main() {
         env.frame_deadline,
         env.capacity_fraction,
     );
-    let fallback = artifacts
-        .grid_artifacts(logic.grid())
-        .expect("selected grid exists")
-        .global_model
-        .clone();
     let mission = Mission::new(&env, &world, bench_mission_params());
     let passes = day_of_passes();
 
@@ -90,7 +85,7 @@ fn main() {
             .expect("scaled config is valid");
         let runtime = Runtime::new(logic.clone(), artifacts.engine.clone())
             .with_workers(workers)
-            .with_fault_plan(plan.clone(), fallback.clone());
+            .with_fault_plan(plan.clone());
         let mut recorder = SummaryRecorder::new();
         let report = mission.run_with_runtime_recorded(&runtime, SystemKind::Kodan, &mut recorder);
         let detailed = mission.run_detailed_faulted(

@@ -175,23 +175,6 @@ fn build_fault_plan(options: &Options) -> Result<Option<FaultPlan>, String> {
         .map_err(|e| format!("invalid fault config: {e}"))
 }
 
-/// Arms `runtime` with `plan`, using the selected grid's global model —
-/// the one model guaranteed to cover every context — as the
-/// degradation fallback.
-fn arm_fault_plan(
-    runtime: Runtime,
-    artifacts: &TransformationArtifacts,
-    plan: &FaultPlan,
-) -> Result<Runtime, String> {
-    let grid = runtime.logic().grid();
-    let fallback = artifacts
-        .grid_artifacts(grid)
-        .map_err(|e| e.to_string())?
-        .global_model
-        .clone();
-    Ok(runtime.with_fault_plan(plan.clone(), fallback))
-}
-
 /// Runs the full kodan path — ground transformation, selection, and the
 /// on-orbit mission (with `--faults` / `--fault-seed` honored) — feeding
 /// every stage through `recorder`. Shared by `trace` and `health`,
@@ -209,7 +192,7 @@ fn fly_kodan_recorded(options: &Options, recorder: &mut dyn Recorder) -> Result<
     let mut runtime =
         Runtime::new(logic, artifacts.engine.clone()).with_workers(options.workers);
     if let Some(plan) = build_fault_plan(options)? {
-        runtime = arm_fault_plan(runtime, &artifacts, &plan)?;
+        runtime = runtime.with_fault_plan(plan);
     }
     let _ = mission.run_with_runtime_recorded(&runtime, SystemKind::Kodan, recorder);
     Ok(())
@@ -482,7 +465,7 @@ pub fn mission(options: &Options) -> Result<(), String> {
         .with_workers(options.workers)
         .with_quarantined_models(quarantined);
     if let Some(plan) = &fault_plan {
-        kodan_runtime = arm_fault_plan(kodan_runtime, &artifacts, plan)?;
+        kodan_runtime = kodan_runtime.with_fault_plan(plan.clone());
     }
     let kodan = mission.run_with_runtime_recorded(&kodan_runtime, SystemKind::Kodan, &mut recorder);
 

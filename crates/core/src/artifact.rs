@@ -9,13 +9,17 @@
 //! total encoded bytes are the modeled uplink cost, tracked against
 //! [`kodan_wire::UPLINK_BUDGET_BYTES`].
 //!
-//! Loading is total and degrades the way the fault-injection layer
-//! does: a specialized model that fails its checksum (or decodes to
-//! something unsafe to run) is replaced by the grid's global model with
-//! the original slot's scope — the same fallback an SEU-corrupted model
-//! gets at runtime — and reported as a [`RecoveredModel`]. Corruption of
-//! the config, context map, bundle, selection logic, or a global model
-//! has no safe substitute and fails the load.
+//! Models are saved and loaded slot by slot from each grid's model table
+//! ([`GridArtifacts::models`]); a slot's manifest name derives from its
+//! scope and ordinal (`grid<g>.global`, `grid<g>.ctx<c>`,
+//! `grid<g>.merged<m>`). Loading is total and degrades the way the
+//! fault-injection layer does: a specialized slot whose model fails its
+//! checksum (or decodes to something unsafe to run) is served by the
+//! grid's global model under the slot's own scope — the same fallback an
+//! SEU-corrupted model gets at runtime — and reported as a
+//! [`RecoveredModel`]. Corruption of the config, context map, bundle,
+//! selection logic, or a global model has no safe substitute and fails
+//! the load.
 //!
 //! This module never touches `std::fs` itself (the `io-discipline` lint
 //! rule forbids it in deterministic crates); all I/O goes through the
@@ -25,7 +29,7 @@ use crate::config::KodanConfig;
 use crate::context::{ContextId, ContextSet};
 use crate::engine::ContextEngine;
 use crate::pipeline::{GridArtifacts, TransformationArtifacts};
-use crate::selection::{ModelTable, SelectionLogic};
+use crate::selection::SelectionLogic;
 use crate::specialize::{ModelScope, SpecializedModel};
 use kodan_ml::eval::ConfusionMatrix;
 use kodan_ml::quant::QuantizedMlp;
@@ -73,23 +77,14 @@ pub struct SaveReport {
     pub quantized_models: usize,
 }
 
-/// Which specialized-model slot of a grid a recovery replaced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotKind {
-    /// The single-context model of context `c`.
-    Context(usize),
-    /// The multi-context (merged) model at position `m`.
-    Merged(usize),
-}
-
 /// One corrupted-on-load model that was replaced by its grid's global
 /// model (scope preserved), mirroring the runtime's SEU fallback.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveredModel {
     /// Grid dimension the model belonged to.
     pub grid: usize,
-    /// Which slot was replaced.
-    pub slot: SlotKind,
+    /// The replaced slot's index in the grid's model table.
+    pub slot: usize,
     /// The artifact's manifest name (e.g. `grid8.ctx2`).
     pub name: String,
 }
@@ -123,9 +118,9 @@ pub struct LoadedArtifacts {
 }
 
 /// The bundle artifact: everything target- and model-blob-independent.
-/// Models are referenced by manifest name (`grid<g>.global`,
-/// `grid<g>.ctx<c>`, `grid<g>.merged<m>`) rather than embedded, so a
-/// corrupted model blob is recoverable without re-uplinking the bundle.
+/// Models are referenced by their slots' manifest names (see
+/// [`slot_names`]) rather than embedded, so a corrupted model blob is
+/// recoverable without re-uplinking the bundle.
 struct Bundle {
     arch: ModelArch,
     engine_val_agreement: f64,
@@ -134,9 +129,9 @@ struct Bundle {
 }
 
 /// A [`GridArtifacts`] with the models factored out: which context
-/// slots are populated, each merged model's scope (kept here so a
-/// corrupted merged blob can be replaced scope-intact), and the
-/// validation statistics.
+/// slots are populated and each merged slot's scope (kept here so a
+/// corrupted blob can be replaced scope-intact), which together give
+/// the table's slot scopes, and the validation statistics.
 struct GridSkeleton {
     grid: usize,
     context_present: Vec<bool>,
@@ -151,21 +146,23 @@ struct GridSkeleton {
 }
 
 impl GridSkeleton {
-    fn of(ga: &GridArtifacts) -> Result<GridSkeleton, WireError> {
-        let merged_scopes = ga
-            .merged_models
-            .iter()
-            .map(|m| match m.scope() {
-                ModelScope::Multi(cs) => Ok(cs.clone()),
-                _ => Err(WireError::InvalidValue(
-                    "merged model without a multi-context scope",
-                )),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(GridSkeleton {
+    /// The skeleton of a grid with `k` contexts. The skeleton records
+    /// which slots exist, not where, so the table must be in slot order
+    /// to load back as saved.
+    fn of(ga: &GridArtifacts, k: usize) -> Result<GridSkeleton, WireError> {
+        let skeleton = GridSkeleton {
             grid: ga.grid,
-            context_present: ga.context_models.iter().map(Option::is_some).collect(),
-            merged_scopes,
+            context_present: (0..k)
+                .map(|c| ga.context_model(ContextId(c)).is_some())
+                .collect(),
+            merged_scopes: ga
+                .models
+                .iter()
+                .filter_map(|m| match m.scope() {
+                    ModelScope::Multi(cs) => Some(cs.clone()),
+                    _ => None,
+                })
+                .collect(),
             global_eval_per_context: ga.global_eval_per_context.clone(),
             context_model_eval: ga.context_model_eval.clone(),
             context_weights: ga.context_weights.clone(),
@@ -173,7 +170,28 @@ impl GridSkeleton {
             merged_eval: ga.merged_eval.clone(),
             global_eval_all: ga.global_eval_all,
             composite_eval_all: ga.composite_eval_all,
-        })
+        };
+        if !ga.models.iter().map(SpecializedModel::scope).eq(&skeleton.slot_scopes()) {
+            return Err(WireError::InvalidValue("grid model table is not in slot order"));
+        }
+        Ok(skeleton)
+    }
+
+    /// The scope of every slot of the grid's model table, in slot order:
+    /// the global model, each present context's model, then the merged
+    /// models.
+    fn slot_scopes(&self) -> Vec<ModelScope> {
+        let contexts = self
+            .context_present
+            .iter()
+            .enumerate()
+            .filter(|(_, present)| **present)
+            .map(|(c, _)| ModelScope::Context(ContextId(c)));
+        let merged = self.merged_scopes.iter().cloned().map(ModelScope::Multi);
+        std::iter::once(ModelScope::Global)
+            .chain(contexts)
+            .chain(merged)
+            .collect()
     }
 
     /// Checks internal shape consistency against a context count.
@@ -248,12 +266,22 @@ impl Decode for Bundle {
     }
 }
 
-fn model_name(grid: usize, slot: Option<SlotKind>) -> String {
-    match slot {
-        None => format!("grid{grid}.global"),
-        Some(SlotKind::Context(c)) => format!("grid{grid}.ctx{c}"),
-        Some(SlotKind::Merged(m)) => format!("grid{grid}.merged{m}"),
-    }
+/// The manifest name of every slot of a grid's model table, from its
+/// scope and ordinal: `grid<g>.global`, `grid<g>.ctx<c>` for context
+/// `c`'s model, and `grid<g>.merged<m>` for the `m`-th merged model.
+fn slot_names<'s>(grid: usize, scopes: impl IntoIterator<Item = &'s ModelScope>) -> Vec<String> {
+    let mut merged = 0;
+    scopes
+        .into_iter()
+        .map(|scope| match scope {
+            ModelScope::Global => format!("grid{grid}.global"),
+            ModelScope::Context(c) => format!("grid{grid}.ctx{}", c.0),
+            ModelScope::Multi(_) => {
+                merged += 1;
+                format!("grid{grid}.merged{}", merged - 1)
+            }
+        })
+        .collect()
 }
 
 /// Manifest name of a model slot's quantized companion blob.
@@ -268,16 +296,16 @@ fn qmodel_name(model_name: &str) -> String {
 ///
 /// # Errors
 ///
-/// Fails on I/O errors, or if `selection` does not belong to
-/// `artifacts` (its grid is absent or its model table was not built by
-/// [`SelectionLogic::build`] over these artifacts).
+/// Fails on I/O errors, if `selection` does not belong to `artifacts`
+/// (its grid is absent or its model table is not that grid's
+/// [`GridArtifacts::models`]), or if a grid's model table is not in slot
+/// order.
 pub fn save_artifacts(
     artifacts: &TransformationArtifacts,
     selection: &SelectionLogic,
     dir: &Path,
     recorder: &mut dyn Recorder,
 ) -> Result<SaveReport, WireError> {
-    let k = artifacts.contexts.len();
     let ga = artifacts
         .grids
         .iter()
@@ -285,8 +313,7 @@ pub fn save_artifacts(
         .ok_or(WireError::InvalidValue(
             "selection grid absent from artifacts",
         ))?;
-    let table = ModelTable::for_grid(ga, k);
-    if table.models != selection.models() {
+    if ga.models != selection.models() {
         return Err(WireError::InvalidValue(
             "selection model table does not match its grid artifacts",
         ));
@@ -294,37 +321,17 @@ pub fn save_artifacts(
 
     let store = ArtifactStore::create(dir)?;
     let mut entries: Vec<ManifestEntry> = Vec::new();
-    let put = |store: &ArtifactStore,
-                   entries: &mut Vec<ManifestEntry>,
-                   recorder: &mut dyn Recorder,
-                   name: String,
-                   kind: u16,
-                   payload: &[u8]|
-     -> Result<(), WireError> {
+    let mut put = |name: &str, kind: u16, payload: &[u8]| -> Result<(), WireError> {
         let sealed = envelope::seal(kind, payload);
-        let entry = store.put(&name, &sealed)?;
+        let entry = store.put(name, &sealed)?;
         recorder.count(CounterId::ArtifactsSaved, 1);
         recorder.count(CounterId::ArtifactBytes, sealed.len() as u64);
         entries.push(entry);
         Ok(())
     };
 
-    put(
-        &store,
-        &mut entries,
-        recorder,
-        "config".to_string(),
-        KIND_CONFIG,
-        &artifacts.config.to_wire(),
-    )?;
-    put(
-        &store,
-        &mut entries,
-        recorder,
-        "contexts".to_string(),
-        KIND_CONTEXTS,
-        &artifacts.contexts.to_wire(),
-    )?;
+    put("config", KIND_CONFIG, &artifacts.config.to_wire())?;
+    put("contexts", KIND_CONTEXTS, &artifacts.contexts.to_wire())?;
     let bundle = Bundle {
         arch: artifacts.arch,
         engine_val_agreement: artifacts.engine_val_agreement,
@@ -332,83 +339,30 @@ pub fn save_artifacts(
         grids: artifacts
             .grids
             .iter()
-            .map(GridSkeleton::of)
+            .map(|ga| GridSkeleton::of(ga, artifacts.contexts.len()))
             .collect::<Result<Vec<_>, _>>()?,
     };
-    put(
-        &store,
-        &mut entries,
-        recorder,
-        "bundle".to_string(),
-        KIND_BUNDLE,
-        &bundle.to_wire(),
-    )?;
+    put("bundle", KIND_BUNDLE, &bundle.to_wire())?;
     // When the config asks for quantization, every model slot gets a
     // companion KIND_QMODEL blob (`<name>.q`) holding its i16/i32
     // fixed-point form, quantized here at save time. The f64 blob stays
     // the master copy: a corrupt companion degrades that one slot back
     // to the reference path at load, it never quarantines the model.
-    let quantize = artifacts.config.quantize;
     let mut quantized_models = 0usize;
-    let mut put_model = |store: &ArtifactStore,
-                             entries: &mut Vec<ManifestEntry>,
-                             recorder: &mut dyn Recorder,
-                             name: String,
-                             model: &SpecializedModel|
-     -> Result<(), WireError> {
-        put(store, entries, recorder, name.clone(), KIND_MODEL, &model.to_wire())?;
-        if quantize {
-            put(
-                store,
-                entries,
-                recorder,
-                qmodel_name(&name),
-                KIND_QMODEL,
-                &model.quantize_classifier().to_wire(),
-            )?;
-            quantized_models += 1;
-        }
-        Ok(())
-    };
     for ga in &artifacts.grids {
-        put_model(
-            &store,
-            &mut entries,
-            recorder,
-            model_name(ga.grid, None),
-            &ga.global_model,
-        )?;
-        for (c, m) in ga.context_models.iter().enumerate() {
-            if let Some(m) = m {
-                put_model(
-                    &store,
-                    &mut entries,
-                    recorder,
-                    model_name(ga.grid, Some(SlotKind::Context(c))),
-                    m,
-                )?;
+        let names = slot_names(ga.grid, ga.models.iter().map(SpecializedModel::scope));
+        for (name, model) in names.iter().zip(&ga.models) {
+            put(name, KIND_MODEL, &model.to_wire())?;
+            if artifacts.config.quantize {
+                let quantized = model.quantize_classifier().to_wire();
+                put(&qmodel_name(name), KIND_QMODEL, &quantized)?;
+                quantized_models += 1;
             }
-        }
-        for (i, m) in ga.merged_models.iter().enumerate() {
-            put_model(
-                &store,
-                &mut entries,
-                recorder,
-                model_name(ga.grid, Some(SlotKind::Merged(i))),
-                m,
-            )?;
         }
     }
     let mut enc = Enc::new();
     selection.encode_policy(&mut enc);
-    put(
-        &store,
-        &mut entries,
-        recorder,
-        "selection".to_string(),
-        KIND_SELECTION,
-        enc.as_bytes(),
-    )?;
+    put("selection", KIND_SELECTION, enc.as_bytes())?;
 
     let manifest = Manifest {
         target: target_slug(selection.target()).to_string(),
@@ -476,10 +430,12 @@ fn attach_quantized_blob(
 /// Loads a saved artifact set, reassembling the transformation artifacts
 /// and the stored selection logic without any retraining.
 ///
-/// Specialized-model blobs that fail verification are replaced by the
-/// grid's global model (scope preserved) and counted on `recorder` as
-/// `ArtifactsRecovered`; config, contexts, bundle, selection and global
-/// models have no safe substitute and fail the load instead.
+/// One loop walks each grid's slot table (rebuilt from the bundle's
+/// skeleton): a specialized slot whose blob fails verification is served
+/// by the grid's global model (scope preserved) and counted on
+/// `recorder` as `ArtifactsRecovered`; config, contexts, bundle,
+/// selection and global models have no safe substitute and fail the load
+/// instead.
 ///
 /// # Errors
 ///
@@ -513,50 +469,20 @@ pub fn load_artifacts(
     let mut grids = Vec::with_capacity(bundle.grids.len());
     for skeleton in &bundle.grids {
         let grid = skeleton.grid;
-        let global_name = model_name(grid, None);
-        let mut global_model = SpecializedModel::from_wire(&read_payload(
-            &store, &manifest, &global_name, KIND_MODEL,
-        )?)?;
-        if *global_model.scope() != ModelScope::Global {
-            return Err(WireError::InvalidValue("global model blob has a narrow scope"));
-        }
-        attach_quantized_blob(
-            &store,
-            &manifest,
-            &mut global_model,
-            &global_name,
-            &mut quantized_attached,
-            &mut degraded_quantized,
-            recorder,
-        );
-        let global_model = global_model;
-
-        // A specialized model that fails any check falls back to the
-        // grid's global model under the original slot's scope — the same
-        // degradation an SEU-corrupted model gets at runtime.
-        let recover = |slot: SlotKind,
-                           name: String,
-                           expected_scope: ModelScope,
-                           recovered: &mut Vec<RecoveredModel>,
-                           recorder: &mut dyn Recorder|
-         -> SpecializedModel {
-            recorder.count(CounterId::ArtifactsRecovered, 1);
-            recovered.push(RecoveredModel { grid, slot, name });
-            global_model.rescoped(expected_scope)
-        };
-
-        let mut context_models = Vec::with_capacity(k);
-        for (c, present) in skeleton.context_present.iter().enumerate() {
-            if !*present {
-                context_models.push(None);
-                continue;
-            }
-            let name = model_name(grid, Some(SlotKind::Context(c)));
-            let expected = ModelScope::Context(ContextId(c));
-            let model = match read_payload(&store, &manifest, &name, KIND_MODEL)
+        let scopes = skeleton.slot_scopes();
+        let mut models: Vec<SpecializedModel> = Vec::with_capacity(scopes.len());
+        for (slot, (name, scope)) in slot_names(grid, &scopes).into_iter().zip(scopes).enumerate() {
+            let verified = read_payload(&store, &manifest, &name, KIND_MODEL)
                 .and_then(|p| SpecializedModel::from_wire(&p))
-            {
-                Ok(mut m) if *m.scope() == expected => {
+                .and_then(|m| {
+                    if *m.scope() == scope {
+                        Ok(m)
+                    } else {
+                        Err(WireError::InvalidValue("model blob scope does not match its slot"))
+                    }
+                });
+            let model = match (verified, models.first()) {
+                (Ok(mut m), _) => {
                     attach_quantized_blob(
                         &store,
                         &manifest,
@@ -568,56 +494,28 @@ pub fn load_artifacts(
                     );
                     m
                 }
-                _ => recover(
-                    SlotKind::Context(c),
-                    name,
-                    expected,
-                    &mut recovered,
-                    recorder,
-                ),
-            };
-            context_models.push(Some(model));
-        }
-
-        let mut merged_models = Vec::with_capacity(skeleton.merged_scopes.len());
-        for (i, scope_contexts) in skeleton.merged_scopes.iter().enumerate() {
-            let name = model_name(grid, Some(SlotKind::Merged(i)));
-            let expected = ModelScope::Multi(scope_contexts.clone());
-            let model = match read_payload(&store, &manifest, &name, KIND_MODEL)
-                .and_then(|p| SpecializedModel::from_wire(&p))
-            {
-                Ok(mut m) if *m.scope() == expected => {
-                    attach_quantized_blob(
-                        &store,
-                        &manifest,
-                        &mut m,
-                        &name,
-                        &mut quantized_attached,
-                        &mut degraded_quantized,
-                        recorder,
-                    );
-                    m
+                // A specialized slot that fails any check falls back to
+                // the grid's global model (slot 0) under the slot's own
+                // scope — the same degradation an SEU-corrupted model
+                // gets at runtime.
+                (Err(_), Some(global)) => {
+                    recorder.count(CounterId::ArtifactsRecovered, 1);
+                    recovered.push(RecoveredModel { grid, slot, name });
+                    global.rescoped(scope)
                 }
-                _ => recover(
-                    SlotKind::Merged(i),
-                    name,
-                    expected,
-                    &mut recovered,
-                    recorder,
-                ),
+                // The global model itself has no safe substitute.
+                (Err(e), None) => return Err(e),
             };
-            merged_models.push(model);
+            models.push(model);
         }
 
         grids.push(GridArtifacts {
             grid,
-            global_model,
-            context_models,
+            models,
             global_eval_per_context: skeleton.global_eval_per_context.clone(),
             context_model_eval: skeleton.context_model_eval.clone(),
             context_weights: skeleton.context_weights.clone(),
             context_hv: skeleton.context_hv.clone(),
-            merged_models,
             merged_eval: skeleton.merged_eval.clone(),
             global_eval_all: skeleton.global_eval_all,
             composite_eval_all: skeleton.composite_eval_all,
@@ -635,7 +533,7 @@ pub fn load_artifacts(
 
     let policy = read_payload(&store, &manifest, "selection", KIND_SELECTION)?;
     // The policy's grid sits third in its encoding (after two u16 tags);
-    // probe it first so the model table can be rebuilt before decoding.
+    // probe it first to find the grid whose model table the policy indexes.
     let grid = {
         let mut probe = Dec::new(&policy);
         probe.u16()?;
@@ -647,23 +545,15 @@ pub fn load_artifacts(
         .iter()
         .find(|g| g.grid == grid)
         .ok_or(WireError::InvalidValue("selection grid absent from bundle"))?;
-    let table = ModelTable::for_grid(ga, k);
-    let context_slot = table.context_model_index;
-    let merged_slot = table.merged_model_index;
     let mut dec = Dec::new(&policy);
-    let selection = SelectionLogic::decode_policy(&mut dec, table.models)?;
+    let selection = SelectionLogic::decode_policy(&mut dec, ga.models.clone())?;
     dec.finish()?;
 
-    let mut quarantined_slots: Vec<usize> = recovered
+    let quarantined_slots: Vec<usize> = recovered
         .iter()
         .filter(|r| r.grid == grid)
-        .filter_map(|r| match r.slot {
-            SlotKind::Context(c) => context_slot.get(c).copied().flatten(),
-            SlotKind::Merged(m) => merged_slot.get(m).copied(),
-        })
+        .map(|r| r.slot)
         .collect();
-    quarantined_slots.sort_unstable();
-    quarantined_slots.dedup();
 
     Ok(LoadedArtifacts {
         artifacts,

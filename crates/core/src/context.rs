@@ -61,13 +61,22 @@ pub enum ContextGeneration {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ContextSet {
     contexts: Vec<Context>,
-    generation: ContextGeneration,
-    /// For auto contexts: the transform + k-means model over label
-    /// vectors. For expert contexts: none (the dominant surface indexes
-    /// directly).
-    auto: Option<AutoPartition>,
-    /// For expert contexts: mapping from surface index to context id.
-    expert_map: Option<[usize; 8]>,
+    partition: Partition,
+}
+
+/// How a [`ContextSet`] assigns tiles to contexts.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum Partition {
+    /// k-means over transformed label vectors, one cluster per context.
+    Auto {
+        /// Distance metric the clustering used.
+        metric: DistanceMetric,
+        /// The fitted transform and k-means model.
+        fitted: AutoPartition,
+    },
+    /// Dominant surface index → context id (`usize::MAX` for surfaces
+    /// absent at generation time).
+    Expert([usize; 8]),
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -99,12 +108,13 @@ impl ContextSet {
         let contexts = summarize(tiles, &assignments, k);
         ContextSet {
             contexts,
-            generation: ContextGeneration::Auto { k, metric },
-            auto: Some(AutoPartition {
-                transform: fitted,
-                kmeans,
-            }),
-            expert_map: None,
+            partition: Partition::Auto {
+                metric,
+                fitted: AutoPartition {
+                    transform: fitted,
+                    kmeans,
+                },
+            },
         }
     }
 
@@ -136,9 +146,7 @@ impl ContextSet {
         let contexts = summarize(tiles, &assignments, next);
         ContextSet {
             contexts,
-            generation: ContextGeneration::Expert,
-            auto: None,
-            expert_map: Some(map),
+            partition: Partition::Expert(map),
         }
     }
 
@@ -159,25 +167,30 @@ impl ContextSet {
 
     /// How this set was generated.
     pub fn generation(&self) -> ContextGeneration {
-        self.generation
+        match self.partition {
+            Partition::Auto { metric, .. } => ContextGeneration::Auto {
+                k: self.contexts.len(),
+                metric,
+            },
+            Partition::Expert(_) => ContextGeneration::Expert,
+        }
     }
 
     /// Classifies a tile from its *truth* label vector (pre-deployment
     /// only).
     pub fn classify_truth(&self, tile: &TileImage) -> ContextId {
-        match (&self.auto, &self.expert_map) {
-            (Some(auto), _) => {
+        match &self.partition {
+            Partition::Auto { fitted, .. } => {
                 let label = tile.label_vector();
                 debug_assert_eq!(label.len(), LABEL_DIM);
-                let transformed = auto.transform.apply(&label);
-                ContextId(auto.kmeans.assign(&transformed))
+                let transformed = fitted.transform.apply(&label);
+                ContextId(fitted.kmeans.assign(&transformed))
             }
-            (None, Some(map)) => {
+            Partition::Expert(map) => {
                 let idx = map[tile.dominant_surface().index()];
                 // Surfaces unseen at generation time fall into context 0.
                 ContextId(if idx == usize::MAX { 0 } else { idx })
             }
-            _ => unreachable!("ContextSet is always auto or expert"),
         }
     }
 
@@ -194,7 +207,10 @@ impl ContextSet {
     /// [`kodan_geodata::SurfaceType::index`] to context id (`usize::MAX`
     /// for surfaces absent at generation time). `None` for auto sets.
     pub fn expert_surface_map(&self) -> Option<&[usize; 8]> {
-        self.expert_map.as_ref()
+        match &self.partition {
+            Partition::Auto { .. } => None,
+            Partition::Expert(map) => Some(map),
+        }
     }
 }
 
@@ -313,9 +329,19 @@ impl Decode for AutoPartition {
 impl Encode for ContextSet {
     fn encode(&self, enc: &mut Enc) {
         self.contexts.encode(enc);
-        self.generation.encode(enc);
-        self.auto.encode(enc);
-        self.expert_map.encode(enc);
+        self.generation().encode(enc);
+        // Stored artifacts carry an `Option` of the fitted clustering,
+        // then an `Option` of the expert map, exactly one of them present.
+        match &self.partition {
+            Partition::Auto { fitted, .. } => {
+                Some(fitted).encode(enc);
+                None::<[usize; 8]>.encode(enc);
+            }
+            Partition::Expert(map) => {
+                None::<&AutoPartition>.encode(enc);
+                Some(map).encode(enc);
+            }
+        }
     }
 }
 
@@ -325,24 +351,26 @@ impl Decode for ContextSet {
         let generation = ContextGeneration::decode(dec)?;
         let auto = Option::<AutoPartition>::decode(dec)?;
         let expert_map = Option::<[usize; 8]>::decode(dec)?;
-        // `classify_truth` relies on exactly the representation its
-        // generation implies being present.
-        let consistent = match generation {
-            ContextGeneration::Auto { k, .. } => {
-                auto.is_some() && expert_map.is_none() && contexts.len() == k
+        // Exactly the representation the generation implies must be
+        // present, with at least one context and one per auto cluster.
+        let partition = match (generation, auto, expert_map) {
+            (ContextGeneration::Auto { k, metric }, Some(fitted), None)
+                if k > 0 && contexts.len() == k =>
+            {
+                Partition::Auto { metric, fitted }
             }
-            ContextGeneration::Expert => auto.is_none() && expert_map.is_some(),
+            (ContextGeneration::Expert, None, Some(map)) if !contexts.is_empty() => {
+                Partition::Expert(map)
+            }
+            _ => {
+                return Err(WireError::InvalidValue(
+                    "context set representation does not match its generation",
+                ))
+            }
         };
-        if !consistent || contexts.is_empty() {
-            return Err(WireError::InvalidValue(
-                "context set representation does not match its generation",
-            ));
-        }
         Ok(ContextSet {
             contexts,
-            generation,
-            auto,
-            expert_map,
+            partition,
         })
     }
 }
@@ -405,6 +433,57 @@ mod tests {
             if pair[0].dominant_surface() == pair[1].dominant_surface() {
                 assert_eq!(set.classify_truth(&pair[0]), set.classify_truth(&pair[1]));
             }
+        }
+    }
+
+    #[test]
+    fn decoder_rejects_a_representation_its_generation_does_not_imply() {
+        let tiles = tiles();
+        let auto = ContextSet::generate_auto(
+            &tiles,
+            3,
+            DistanceMetric::Euclidean,
+            TransformKind::Standardize,
+            1,
+        );
+        let expert = ContextSet::generate_expert(&tiles);
+        for set in [&auto, &expert] {
+            assert_eq!(ContextSet::from_wire(&set.to_wire()).as_ref(), Ok(set));
+        }
+        let (Partition::Auto { metric, fitted }, Partition::Expert(map)) =
+            (&auto.partition, &expert.partition)
+        else {
+            panic!("generators build their own partition kind");
+        };
+        let forge = |k: Option<usize>, fitted: Option<&AutoPartition>, map: Option<&[usize; 8]>| {
+            let mut enc = Enc::new();
+            auto.contexts.encode(&mut enc);
+            match k {
+                Some(k) => ContextGeneration::Auto { k, metric: *metric },
+                None => ContextGeneration::Expert,
+            }
+            .encode(&mut enc);
+            fitted.encode(&mut enc);
+            map.encode(&mut enc);
+            ContextSet::from_wire(enc.as_bytes())
+        };
+        assert!(forge(Some(3), Some(fitted), None).is_ok());
+        assert!(forge(None, None, Some(map)).is_ok());
+        for (k, fitted, map) in [
+            (Some(3), Some(fitted), Some(map)),
+            (Some(3), None, Some(map)),
+            (Some(3), None, None),
+            (Some(4), Some(fitted), None),
+            (None, Some(fitted), None),
+            (None, Some(fitted), Some(map)),
+            (None, None, None),
+        ] {
+            assert!(
+                forge(k, fitted, map).is_err(),
+                "k {k:?}, clustering {}, map {}",
+                fitted.is_some(),
+                map.is_some()
+            );
         }
     }
 

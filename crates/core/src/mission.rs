@@ -339,9 +339,7 @@ impl<'a> Mission<'a> {
                 FrameEstimate {
                     busy_seconds: o.compute.as_seconds(),
                     sent_px: o.sent_px,
-                    value_px: o.value_px,
                     observed_px: o.observed_px,
-                    observed_value_px: o.observed_value_px,
                     tiles: tile_estimates,
                 }
             })

@@ -17,10 +17,10 @@
 //! deploys the same seven applications to three targets).
 
 use crate::config::{ContextGenerationKind, KodanConfig};
-use crate::context::ContextSet;
+use crate::context::{ContextId, ContextSet};
 use crate::engine::ContextEngine;
 use crate::selection::{SelectionLogic, DEFAULT_CAPACITY_FRACTION};
-use crate::specialize::SpecializedModel;
+use crate::specialize::{ModelScope, SpecializedModel};
 use crate::KodanError;
 use kodan_cote::time::Duration;
 use kodan_geodata::dataset::Dataset;
@@ -37,33 +37,36 @@ use serde::{Deserialize, Serialize};
 /// below this the context falls back to the global model.
 const MIN_CONTEXT_TILES: usize = 5;
 
-/// Per-tile-grid artifacts: models and validation statistics.
+/// Per-tile-grid artifacts: the grid's model table and validation
+/// statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GridArtifacts {
     /// Grid dimension (tiles per frame = `grid * grid`).
     pub grid: usize,
-    /// The full-capacity reference model trained at this grid.
-    pub global_model: SpecializedModel,
-    /// Per-context specialized models (None when the context had too few
-    /// training tiles).
-    pub context_models: Vec<Option<SpecializedModel>>,
+    /// The grid's model table, in the order the runtime flies it: slot 0
+    /// is the full-capacity reference model ([`ModelScope::Global`]),
+    /// then the single-context models by context id (contexts with too
+    /// few training tiles have none), then the multi-context ("merged")
+    /// models in pairing order (paper Section 3.3 considers single- and
+    /// multi-context specializations in the selection logic). Each
+    /// model's scope says which slot it fills. Selection policies index
+    /// this table, the artifact store saves and loads it slot by slot,
+    /// and the runtime's fault fallback is its slot 0.
+    pub models: Vec<SpecializedModel>,
     /// Validation confusion of the global model restricted to each
     /// engine-assigned context.
     pub global_eval_per_context: Vec<ConfusionMatrix>,
-    /// Validation confusion of each context model on its own
-    /// engine-assigned tiles.
+    /// Validation confusion of each context's own model on its
+    /// engine-assigned tiles (None when the context has no model or no
+    /// tiles).
     pub context_model_eval: Vec<Option<ConfusionMatrix>>,
     /// Fraction of validation tiles the engine assigns to each context.
     pub context_weights: Vec<f64>,
     /// Mean high-value pixel fraction of each context's validation tiles.
     pub context_hv: Vec<f64>,
-    /// Multi-context ("merged") specialized models, paired by value
-    /// profile (paper Section 3.3 considers single- and multi-context
-    /// specializations in the selection logic).
-    pub merged_models: Vec<SpecializedModel>,
-    /// `merged_eval[m][c]`: validation confusion of merged model `m` on
-    /// context `c`'s engine-assigned tiles (None where not covered or no
-    /// tiles).
+    /// `merged_eval[m][c]`: validation confusion of the `m`-th merged
+    /// model in the table on context `c`'s engine-assigned tiles (None
+    /// where not covered or no tiles).
     pub merged_eval: Vec<Vec<Option<ConfusionMatrix>>>,
     /// Validation confusion of the global model over all tiles (the
     /// direct-deploy statistic, and Figure 13's tiling data).
@@ -72,6 +75,16 @@ pub struct GridArtifacts {
     /// tile routed by the engine to its context model (global fallback).
     /// This is Figure 12's "geospatial contexts" statistic.
     pub composite_eval_all: ConfusionMatrix,
+}
+
+impl GridArtifacts {
+    /// The single-context model of `context`, if that context had enough
+    /// training tiles to specialize one.
+    pub fn context_model(&self, context: ContextId) -> Option<&SpecializedModel> {
+        self.models
+            .iter()
+            .find(|m| *m.scope() == ModelScope::Context(context))
+    }
 }
 
 /// Everything the transformation step produces.
@@ -291,9 +304,10 @@ impl Transformation {
         // RNG stream is derived from the grid seed and the task's stable
         // identity (context id, merged pair), never from worker or
         // completion order, so the trained weights are bit-identical to a
-        // serial run. The task list is built in the serial order (global,
+        // serial run. The task list is built in table order (global,
         // contexts ascending, merged pairs in value-profile order) and
-        // results come back index-keyed in that same order.
+        // results come back index-keyed in that same order, so they *are*
+        // the grid's model table.
         enum TrainTask<'t> {
             Global,
             Context(usize, &'t [TileImage]),
@@ -309,8 +323,8 @@ impl Transformation {
         // profiles and specialize across each pair.
         let mut order: Vec<usize> = (0..k).collect();
         order.sort_by(|&a, &b| {
-            let ha = contexts.context(crate::context::ContextId(a)).high_value_fraction;
-            let hb = contexts.context(crate::context::ContextId(b)).high_value_fraction;
+            let ha = contexts.context(ContextId(a)).high_value_fraction;
+            let hb = contexts.context(ContextId(b)).high_value_fraction;
             ha.total_cmp(&hb)
         });
         for pair in order.chunks_exact(2) {
@@ -326,18 +340,21 @@ impl Transformation {
             }
         }
 
-        let train_global =
-            || SpecializedModel::train_global(&train_tiles, arch, config.max_train_pixels, &train_cfg);
         let workers = crate::par::resolve_workers(config.workers);
-        let trained_models = crate::par::par_map_indexed(workers, &tasks, |_, task| match task {
-            TrainTask::Global => train_global(),
+        let models = crate::par::par_map_indexed(workers, &tasks, |_, task| match task {
+            TrainTask::Global => SpecializedModel::train_global(
+                &train_tiles,
+                arch,
+                config.max_train_pixels,
+                &train_cfg,
+            ),
             TrainTask::Context(c, subset) => {
                 let mut cfg = train_cfg;
                 cfg.seed = crate::par::stream_seed(seed, *c as u64 + 1);
                 SpecializedModel::train_for_context(
                     subset,
                     arch,
-                    crate::context::ContextId(*c),
+                    ContextId(*c),
                     config.max_train_pixels,
                     &cfg,
                 )
@@ -348,38 +365,20 @@ impl Transformation {
                 SpecializedModel::train_for_contexts(
                     union,
                     arch,
-                    vec![crate::context::ContextId(*a), crate::context::ContextId(*b)],
+                    vec![ContextId(*a), ContextId(*b)],
                     config.max_train_pixels,
                     &cfg,
                 )
             }
         });
 
-        // Unpack results back into their serial-layout slots. Task 0 is
-        // always Global, so the fallback closure never actually runs; it
-        // exists to keep this path panic-free.
-        let mut trained_iter = trained_models.into_iter();
-        let global_model = trained_iter.next().unwrap_or_else(train_global);
-        let mut context_models: Vec<Option<SpecializedModel>> = (0..k).map(|_| None).collect();
-        let mut merged_models: Vec<SpecializedModel> = Vec::new();
-        for (task, model) in tasks.iter().skip(1).zip(trained_iter) {
-            match task {
-                TrainTask::Global => {}
-                TrainTask::Context(c, _) => {
-                    if let Some(slot) = context_models.get_mut(*c) {
-                        *slot = Some(model);
-                    }
-                }
-                TrainTask::Merged(..) => merged_models.push(model),
-            }
-        }
-
-        let trained = 1
-            + context_models.iter().filter(|m| m.is_some()).count()
-            + merged_models.len();
-        recorder.count(CounterId::ModelsTrained, trained as u64);
-        recorder.count(CounterId::MergedModelsTrained, merged_models.len() as u64);
-        recorder.span(StageId::Specialization, 0.0, trained as u64);
+        let merged = tasks
+            .iter()
+            .filter(|t| matches!(t, TrainTask::Merged(..)))
+            .count();
+        recorder.count(CounterId::ModelsTrained, models.len() as u64);
+        recorder.count(CounterId::MergedModelsTrained, merged as u64);
+        recorder.span(StageId::Specialization, 0.0, models.len() as u64);
         recorder.span(StageId::Validation, 0.0, val_tiles.len() as u64);
 
         // Validation statistics are gathered under *engine* assignment,
@@ -392,17 +391,12 @@ impl Transformation {
         }
         let total_val = val_tiles.len().max(1) as f64;
 
-        let mut global_eval_per_context = Vec::with_capacity(k);
-        let mut context_model_eval = Vec::with_capacity(k);
         let mut context_weights = Vec::with_capacity(k);
         let mut context_hv = Vec::with_capacity(k);
-        let mut global_eval_all = ConfusionMatrix::new();
-        let mut composite_eval_all = ConfusionMatrix::new();
-
         for (c, group) in groups.iter().enumerate() {
             context_weights.push(group.len() as f64 / total_val);
             let hv = if group.is_empty() {
-                contexts.context(crate::context::ContextId(c)).high_value_fraction
+                contexts.context(ContextId(c)).high_value_fraction
             } else {
                 // Serial left-to-right accumulation in group order pins the
                 // (non-associative) f64 reduction order.
@@ -413,53 +407,53 @@ impl Transformation {
                 hv_sum / group.len() as f64
             };
             context_hv.push(hv);
-
-            let global_cm = global_model.evaluate(group.iter().copied());
-            global_eval_all += global_cm;
-            global_eval_per_context.push(global_cm);
-
-            match context_models.get(c).and_then(|slot| slot.as_ref()) {
-                Some(model) if !group.is_empty() => {
-                    let cm = model.evaluate(group.iter().copied());
-                    composite_eval_all += cm;
-                    context_model_eval.push(Some(cm));
-                }
-                Some(_) => context_model_eval.push(None),
-                None => {
-                    composite_eval_all += global_cm;
-                    context_model_eval.push(None);
-                }
-            }
         }
 
-        // Evaluate merged models on the contexts they cover.
-        let merged_eval: Vec<Vec<Option<ConfusionMatrix>>> = merged_models
-            .iter()
-            .map(|m| {
-                (0..k)
-                    .map(|c| {
-                        let covered = m.scope().covers(crate::context::ContextId(c));
-                        match groups.get(c) {
-                            Some(group) if covered && !group.is_empty() => {
-                                Some(m.evaluate(group.iter().copied()))
-                            }
-                            _ => None,
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        // Every slot is validated on the non-empty contexts its scope
+        // covers; an empty context evaluates to the zero matrix.
+        let mut global_eval_per_context = vec![ConfusionMatrix::new(); k];
+        let mut context_model_eval: Vec<Option<ConfusionMatrix>> = vec![None; k];
+        let mut merged_eval: Vec<Vec<Option<ConfusionMatrix>>> = Vec::new();
+        for model in &models {
+            let evals: Vec<Option<ConfusionMatrix>> = groups
+                .iter()
+                .enumerate()
+                .map(|(c, group)| {
+                    let covered = model.scope().covers(ContextId(c)) && !group.is_empty();
+                    covered.then(|| model.evaluate(group.iter().copied()))
+                })
+                .collect();
+            match model.scope() {
+                ModelScope::Global => {
+                    global_eval_per_context =
+                        evals.into_iter().map(Option::unwrap_or_default).collect();
+                }
+                ModelScope::Context(c) => {
+                    if let Some(slot) = context_model_eval.get_mut(c.0) {
+                        *slot = evals.get(c.0).copied().flatten();
+                    }
+                }
+                ModelScope::Multi(_) => merged_eval.push(evals),
+            }
+        }
+        // The composite routes each context to its own model's tiles, or
+        // to the global model where the context has no model (a context
+        // with a model but no tiles adds the zero matrix either way).
+        let mut global_eval_all = ConfusionMatrix::new();
+        let mut composite_eval_all = ConfusionMatrix::new();
+        for (global_cm, own_cm) in global_eval_per_context.iter().zip(&context_model_eval) {
+            global_eval_all += *global_cm;
+            composite_eval_all += own_cm.unwrap_or(*global_cm);
+        }
 
         GridArtifacts {
             grid,
-            global_model,
-            context_models,
-            merged_models,
-            merged_eval,
+            models,
             global_eval_per_context,
             context_model_eval,
             context_weights,
             context_hv,
+            merged_eval,
             global_eval_all,
             composite_eval_all,
         }
@@ -541,7 +535,7 @@ mod tests {
         for ga in &a.grids {
             let weight_sum: f64 = ga.context_weights.iter().sum();
             assert!((weight_sum - 1.0).abs() < 1e-9, "weights sum {weight_sum}");
-            assert_eq!(ga.context_models.len(), a.contexts.len());
+            assert_eq!(ga.models.first().map(|m| m.scope()), Some(&ModelScope::Global));
             assert_eq!(ga.global_eval_per_context.len(), a.contexts.len());
             for hv in &ga.context_hv {
                 assert!((0.0..=1.0).contains(hv));

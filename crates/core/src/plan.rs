@@ -121,12 +121,8 @@ pub struct FrameEstimate {
     pub busy_seconds: f64,
     /// Pixels Kodan processing would enqueue for downlink.
     pub sent_px: u64,
-    /// Of those, genuinely high-value pixels.
-    pub value_px: u64,
     /// Total pixels in the frame.
     pub observed_px: u64,
-    /// Of those, genuinely high-value pixels.
-    pub observed_value_px: u64,
     /// Per-tile raw facts, any order (the planner canonicalizes).
     pub tiles: Vec<TileEstimate>,
 }
@@ -581,9 +577,7 @@ mod tests {
                 FrameEstimate {
                     busy_seconds: busy_s,
                     sent_px: (1936.0_f64 * 9.0 * 0.21).round() as u64,
-                    value_px: (1936.0_f64 * 9.0 * 0.21 * 0.8).round() as u64,
                     observed_px: 1936 * 9,
-                    observed_value_px: (1936.0_f64 * 9.0 * 0.5).round() as u64,
                     tiles,
                 }
             })

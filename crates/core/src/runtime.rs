@@ -13,6 +13,9 @@
 //! [`Runtime::process_frame_indexed`] flies every frame; an installed
 //! [`DayPlan`] only picks its tile loop: the one above, or shipping the
 //! plan's chosen tiles raw. [`Runtime::process_frames`] is the batch entry.
+//! The selection logic's model table is the grid's slot table (see
+//! [`crate::pipeline::GridArtifacts::models`]); its slot 0, the global
+//! model, is the fallback for any slot an armed [`FaultPlan`] corrupts.
 //!
 //! Every decision narrates itself through the [`Recorder`] passed to
 //! `process_frames`. The event/span stream this module emits is
@@ -31,7 +34,6 @@ use crate::engine::EngineKind;
 use crate::par;
 use crate::plan::{DayPlan, Placement};
 use crate::selection::SelectionLogic;
-use crate::specialize::SpecializedModel;
 use kodan_cote::time::Duration;
 use kodan_faults::{FaultPlan, FrameFaults, SeuUpset};
 use kodan_geodata::frame::FrameImage;
@@ -137,13 +139,12 @@ impl FrameOutcome {
     }
 }
 
-/// A fault plan armed against a runtime, plus everything the degradation
-/// policies need to survive it: the global fallback model and the known
-/// good checksum of every specialized model, captured at arm time.
+/// A fault plan armed against a runtime, plus the known-good checksum of
+/// every model-table slot, captured at arm time, that the degradation
+/// policy detects corruption against.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultInjection {
     plan: FaultPlan,
-    fallback: SpecializedModel,
     reference: Vec<u64>,
 }
 
@@ -215,23 +216,19 @@ impl Runtime {
         self
     }
 
-    /// Arms a fault plan against this runtime and installs the global
-    /// `fallback` model the degradation policy swaps in when an injected
-    /// upset corrupts a specialized model. Known-good weight checksums of
-    /// every specialized model are captured now, so corruption is detected
-    /// by comparison rather than trust.
-    pub fn with_fault_plan(mut self, plan: FaultPlan, fallback: SpecializedModel) -> Runtime {
+    /// Arms a fault plan against this runtime. When an injected upset
+    /// corrupts a model, the degradation policy swaps in the table's own
+    /// slot 0 — the global model, the one model that covers every
+    /// context. Known-good weight checksums of every slot are captured
+    /// now, so corruption is detected by comparison rather than trust.
+    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Runtime {
         let reference = self
             .logic
             .models()
             .iter()
             .map(|m| m.weight_checksum())
             .collect();
-        self.faults = Some(FaultInjection {
-            plan,
-            fallback,
-            reference,
-        });
+        self.faults = Some(FaultInjection { plan, reference });
         self
     }
 
@@ -283,8 +280,8 @@ impl Runtime {
     ///   not wrong);
     /// - an upset is applied to a cloned victim model and detected by
     ///   comparing weight checksums against the values captured at arm
-    ///   time; a corrupted model is replaced by the global fallback for
-    ///   the rest of the frame;
+    ///   time; a corrupted model is replaced by the table's global model
+    ///   (slot 0) for the rest of the frame;
     /// - transient classify failures are absorbed by bounded
     ///   retry-with-backoff in modeled time; a tile that exhausts its
     ///   retry budget degrades to a raw downlink (the bent-pipe action)
@@ -383,7 +380,7 @@ impl Runtime {
 
         // Apply any upset to a cloned victim and checksum-validate it
         // once up front; a detected mismatch retires that model slot to
-        // the global fallback for the whole frame.
+        // the global model in slot 0 for the whole frame.
         let mut fallback_slot: Option<usize> = None;
         if let (Some(f), Some(upset)) = (injection, seu) {
             let models = self.logic.models();
@@ -487,18 +484,19 @@ impl Runtime {
                 }
                 Action::Process { model_index } => model_index,
             };
-            let model = match (fallback_slot, injection) {
-                (Some(slot), Some(f)) if slot == model_index => &f.fallback,
-                _ => match self.logic.models().get(model_index) {
-                    Some(m) => m,
-                    None => {
-                        // A policy referencing a missing model slot must
-                        // not abort the frame: fall back to the bent-pipe
-                        // action, like the classify-exhausted path above.
-                        settle_unmodeled_tile(&mut outcome, recorder, px, clear_px, true, false);
-                        continue;
-                    }
-                },
+            // A slot the upset corrupted is served by the global model in
+            // slot 0 for the rest of the frame.
+            let served = if fallback_slot == Some(model_index) {
+                0
+            } else {
+                model_index
+            };
+            let Some(model) = self.logic.models().get(served) else {
+                // A policy referencing a missing model slot must not abort
+                // the frame: fall back to the bent-pipe action, like the
+                // classify-exhausted path above.
+                settle_unmodeled_tile(&mut outcome, recorder, px, clear_px, true, false);
+                continue;
             };
             outcome.tiles_processed += 1;
             // `effective_ops_ratio` prices a quantized slot at the

@@ -15,7 +15,7 @@
 
 use crate::elide::{Action, ActionOutcome};
 use crate::pipeline::{GridArtifacts, TransformationArtifacts};
-use crate::specialize::SpecializedModel;
+use crate::specialize::{ModelScope, SpecializedModel};
 use kodan_cote::time::Duration;
 use kodan_hw::latency::LatencyModel;
 use kodan_hw::targets::HwTarget;
@@ -167,7 +167,7 @@ impl SelectionLogic {
         assert!(!artifacts.grids.is_empty(), "artifacts contain no grids");
 
         let latency = LatencyModel::new(target);
-        let mut best: Option<SelectionLogic> = None;
+        let mut best: Option<(&GridArtifacts, Vec<Action>, SelectionEstimate)> = None;
 
         // Without the tiling technique the application keeps the
         // direct-deploy tiling (the densest grid).
@@ -183,13 +183,11 @@ impl SelectionLogic {
                 continue;
             }
             let k = artifacts.contexts.len();
-            let ModelTable {
-                models,
-                context_model_index,
-                merged_model_index,
-            } = ModelTable::for_grid(ga, k);
 
-            // Per-context action options, filtered by the technique set.
+            // Per-context action options, filtered by the technique set:
+            // the global model (slot 0), the elision actions, then every
+            // specialized slot whose scope covers the context, in slot
+            // order. Option order breaks the optimizer's ties.
             let options: Vec<Vec<ActionOutcome>> = (0..k)
                 .map(|c| {
                     let mut opts = vec![ActionOutcome::process(
@@ -206,27 +204,25 @@ impl SelectionLogic {
                         }
                     }
                     if techniques.specialization {
-                        if let (Some(idx), Some(cm)) =
-                            (context_model_index[c], ga.context_model_eval[c].as_ref())
-                        {
-                            opts.push(ActionOutcome::process(
-                                idx,
-                                cm,
-                                latency.specialized_tile_time(
-                                    artifacts.arch,
-                                    models[idx].ops_ratio(),
-                                ),
-                            ));
-                        }
-                        for (mi, evals) in ga.merged_eval.iter().enumerate() {
-                            if let Some(cm) = &evals[c] {
-                                let idx = merged_model_index[mi];
+                        let mut merged_eval = ga.merged_eval.iter();
+                        for (slot, model) in ga.models.iter().enumerate() {
+                            let eval = match model.scope() {
+                                ModelScope::Global => None,
+                                ModelScope::Context(own) if own.0 == c => {
+                                    ga.context_model_eval[c].as_ref()
+                                }
+                                ModelScope::Context(_) => None,
+                                ModelScope::Multi(_) => {
+                                    merged_eval.next().and_then(|evals| evals[c].as_ref())
+                                }
+                            };
+                            if let Some(cm) = eval {
                                 opts.push(ActionOutcome::process(
-                                    idx,
+                                    slot,
                                     cm,
                                     latency.specialized_tile_time(
                                         artifacts.arch,
-                                        models[idx].ops_ratio(),
+                                        model.ops_ratio(),
                                     ),
                                 ));
                             }
@@ -252,29 +248,26 @@ impl SelectionLogic {
                 deadline,
                 capacity_fraction,
             );
-            let actions: Vec<Action> = chosen
-                .iter()
-                .map(|&(c, o)| options[c][o].action)
-                .collect();
-            let candidate = SelectionLogic {
-                arch: artifacts.arch,
-                target,
-                grid: ga.grid,
-                actions,
-                models: models.clone(),
-                deadline,
-                capacity_fraction,
-                estimate,
-            };
             let better = match &best {
                 None => true,
-                Some(b) => selection_score(&candidate.estimate) > selection_score(&b.estimate),
+                Some((_, _, b)) => selection_score(&estimate) > selection_score(b),
             };
             if better {
-                best = Some(candidate);
+                let actions = chosen.iter().map(|&(c, o)| options[c][o].action).collect();
+                best = Some((ga, actions, estimate));
             }
         }
-        best.expect("at least one grid was evaluated")
+        let (ga, actions, estimate) = best.expect("at least one grid was evaluated");
+        SelectionLogic {
+            arch: artifacts.arch,
+            target,
+            grid: ga.grid,
+            actions,
+            models: ga.models.clone(),
+            deadline,
+            capacity_fraction,
+            estimate,
+        }
     }
 
     /// The direct-deployment policy the paper compares against: the
@@ -353,7 +346,7 @@ impl SelectionLogic {
             target,
             grid,
             actions: vec![Action::Process { model_index: 0 }; k],
-            models: vec![ga.global_model.clone()],
+            models: ga.models.iter().take(1).cloned().collect(),
             deadline,
             capacity_fraction,
             estimate,
@@ -413,9 +406,9 @@ impl SelectionLogic {
 
     /// Encodes everything except the model table. Models ship as
     /// separate content-addressed artifacts (see [`crate::artifact`]);
-    /// the policy references them only by table position, so the table
-    /// is rebuilt at load time with [`ModelTable::for_grid`] and passed
-    /// to [`SelectionLogic::decode_policy`].
+    /// the policy references them only by table position, so at load
+    /// time the loaded grid's [`GridArtifacts::models`] is passed to
+    /// [`SelectionLogic::decode_policy`].
     pub(crate) fn encode_policy(&self, enc: &mut Enc) {
         self.arch.encode(enc);
         enc.u16(self.target.index() as u16);
@@ -428,7 +421,7 @@ impl SelectionLogic {
     }
 
     /// Decodes a policy encoded by [`SelectionLogic::encode_policy`],
-    /// re-attaching a freshly rebuilt model table. Validates everything
+    /// re-attaching its grid's loaded model table. Validates everything
     /// the runtime indexes into, so a decoded policy is panic-free to
     /// run: the table length must match the encoded one and every
     /// `Process` action must point inside it.
@@ -487,44 +480,6 @@ impl SelectionLogic {
             capacity_fraction,
             estimate,
         })
-    }
-}
-
-/// The candidate-model table of one grid: index 0 is the global model,
-/// then single-context models in context order, then multi-context
-/// (merged) models. Both the optimizer and the artifact loader build
-/// tables through this one constructor, so a policy's `Process` indices
-/// mean the same thing on the ground and after an uplink.
-pub(crate) struct ModelTable {
-    /// The table itself.
-    pub models: Vec<SpecializedModel>,
-    /// Per-context table position of that context's specialized model.
-    pub context_model_index: Vec<Option<usize>>,
-    /// Table position of each merged model, in `merged_models` order.
-    pub merged_model_index: Vec<usize>,
-}
-
-impl ModelTable {
-    /// Builds the canonical model table for a grid with `k` contexts.
-    pub fn for_grid(ga: &GridArtifacts, k: usize) -> ModelTable {
-        let mut models = vec![ga.global_model.clone()];
-        let mut context_model_index = vec![None; k];
-        for (c, m) in ga.context_models.iter().enumerate().take(k) {
-            if let Some(m) = m {
-                context_model_index[c] = Some(models.len());
-                models.push(m.clone());
-            }
-        }
-        let mut merged_model_index = Vec::with_capacity(ga.merged_models.len());
-        for m in &ga.merged_models {
-            merged_model_index.push(models.len());
-            models.push(m.clone());
-        }
-        ModelTable {
-            models,
-            context_model_index,
-            merged_model_index,
-        }
     }
 }
 

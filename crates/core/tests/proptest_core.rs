@@ -120,9 +120,7 @@ proptest! {
                     FrameEstimate {
                         busy_seconds: *busy,
                         sent_px: clear_px,
-                        value_px: (clear_px as f64 * 0.9) as u64,
                         observed_px,
-                        observed_value_px: clear_px,
                         tiles: tile_estimates,
                     }
                 })

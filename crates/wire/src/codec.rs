@@ -396,6 +396,14 @@ impl<T: Decode> Decode for Vec<T> {
     }
 }
 
+/// A reference encodes as its referent, so borrowed parts compose (as
+/// in `Some(&part)`) without a clone.
+impl<T: Encode> Encode for &T {
+    fn encode(&self, enc: &mut Enc) {
+        (**self).encode(enc);
+    }
+}
+
 impl<T: Encode> Encode for Option<T> {
     fn encode(&self, enc: &mut Enc) {
         match self {

@@ -270,14 +270,9 @@ fn fault_injected_missions_are_byte_identical_at_any_worker_count() {
             env.frame_deadline,
             env.capacity_fraction,
         );
-        let fallback = artifacts
-            .grid_artifacts(logic.grid())
-            .expect("selected grid exists")
-            .global_model
-            .clone();
         let runtime = Runtime::new(logic, artifacts.engine.clone())
             .with_workers(workers)
-            .with_fault_plan(plan.clone(), fallback);
+            .with_fault_plan(plan.clone());
         let mission = Mission::new(&env, &world, params);
         let mut recorder = SummaryRecorder::new();
         let report =
@@ -321,47 +316,91 @@ fn saved_artifacts_reload_byte_identically() {
     // satellite unseals. A clean save→load round trip must reproduce the
     // full artifact set and selection logic with `==` — and saving twice
     // must produce byte-identical stores (canonical encoding leaves no
-    // room for incidental variation).
+    // room for incidental variation). Auto and expert contexts and
+    // quantized companions each take their own path through the store.
     use kodan::artifact::{load_artifacts, save_artifacts};
+    use kodan::config::ContextGenerationKind;
     use kodan_telemetry::NullRecorder;
     use std::path::Path;
 
+    // Pinned digests of `manifest.txt`, which lists every object's
+    // content digest, size and CRC: the stores are the same bytes as
+    // when each grid's models lived in three separate fields.
+    let cases = [
+        ("auto", KodanConfig::fast(9), 0x3184_95ca_b206_1d7f_u64),
+        (
+            "expert",
+            KodanConfig {
+                generation: ContextGenerationKind::Expert,
+                ..KodanConfig::fast(9)
+            },
+            0x4865_5932_0c66_8076,
+        ),
+        (
+            "quantized",
+            KodanConfig {
+                quantize: true,
+                ..KodanConfig::fast(9)
+            },
+            0xa753_5619_f120_1341,
+        ),
+    ];
     let dataset = small_dataset(1);
-    let artifacts = Transformation::new(KodanConfig::fast(9))
-        .run(&dataset, ModelArch::MobileNetV2DilatedC1)
-        .expect("transformation succeeds");
     let env = SpaceEnvironment::fixed(0.21);
-    let logic = artifacts.select_with_capacity(
-        HwTarget::OrinAgx15W,
-        env.frame_deadline,
-        env.capacity_fraction,
-    );
-
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("determinism_artifacts");
     std::fs::remove_dir_all(&root).ok();
-    let dir_a = root.join("a");
-    let dir_b = root.join("b");
-    let report_a = save_artifacts(&artifacts, &logic, &dir_a, &mut NullRecorder)
-        .expect("save succeeds");
-    let report_b = save_artifacts(&artifacts, &logic, &dir_b, &mut NullRecorder)
-        .expect("second save succeeds");
-    assert_eq!(report_a, report_b, "re-saving must be byte-deterministic");
-    assert!(report_a.total_bytes > 0);
-    assert!(!report_a.over_budget, "test artifacts fit the uplink budget");
+    for (label, config, pinned_manifest) in cases {
+        let artifacts = Transformation::new(config)
+            .run(&dataset, ModelArch::MobileNetV2DilatedC1)
+            .expect("transformation succeeds");
+        let logic = artifacts.select_with_capacity(
+            HwTarget::OrinAgx15W,
+            env.frame_deadline,
+            env.capacity_fraction,
+        );
 
-    // Every on-disk byte matches: manifest text and all objects.
-    let read = |dir: &Path, name: &str| std::fs::read(dir.join(name)).expect("read store file");
-    assert_eq!(read(&dir_a, "manifest.txt"), read(&dir_b, "manifest.txt"));
-    for entry in &report_a.manifest.entries {
-        let object = format!("objects/{:016x}.bin", entry.digest);
-        assert_eq!(read(&dir_a, &object), read(&dir_b, &object), "{object} differs");
+        let dir_a = root.join(label).join("a");
+        let dir_b = root.join(label).join("b");
+        let report_a = save_artifacts(&artifacts, &logic, &dir_a, &mut NullRecorder)
+            .expect("save succeeds");
+        let report_b = save_artifacts(&artifacts, &logic, &dir_b, &mut NullRecorder)
+            .expect("second save succeeds");
+        assert_eq!(report_a, report_b, "{label}: re-saving must be byte-deterministic");
+        assert!(report_a.total_bytes > 0);
+        assert!(!report_a.over_budget, "{label}: test artifacts fit the uplink budget");
+
+        // Every on-disk byte matches: manifest text and all objects.
+        let read =
+            |dir: &Path, name: &str| std::fs::read(dir.join(name)).expect("read store file");
+        let manifest = read(&dir_a, "manifest.txt");
+        assert_eq!(manifest, read(&dir_b, "manifest.txt"));
+        for entry in &report_a.manifest.entries {
+            let object = format!("objects/{:016x}.bin", entry.digest);
+            assert_eq!(
+                read(&dir_a, &object),
+                read(&dir_b, &object),
+                "{label}: {object} differs"
+            );
+        }
+        assert_eq!(
+            fnv1a64(&manifest),
+            pinned_manifest,
+            "{label} manifest drifted:\n{}",
+            String::from_utf8_lossy(&manifest)
+        );
+
+        let loaded = load_artifacts(&dir_a, &mut NullRecorder).expect("load succeeds");
+        assert!(loaded.recovered.is_empty(), "{label}: clean store needs no recovery");
+        assert!(loaded.quarantined_slots.is_empty());
+        if config.quantize {
+            // Loaded models carry their verified fixed-point companions,
+            // which the in-memory artifacts never had.
+            assert_eq!(loaded.quantized_attached, report_a.quantized_models);
+        } else {
+            assert_eq!(loaded.artifacts, artifacts, "{label}: artifacts round-trip exactly");
+            assert_eq!(loaded.selection, logic, "{label}: selection logic round-trips exactly");
+        }
     }
-
-    let loaded = load_artifacts(&dir_a, &mut NullRecorder).expect("load succeeds");
-    assert!(loaded.recovered.is_empty(), "clean store needs no recovery");
-    assert!(loaded.quarantined_slots.is_empty());
-    assert_eq!(loaded.artifacts, artifacts, "artifacts round-trip exactly");
-    assert_eq!(loaded.selection, logic, "selection logic round-trips exactly");
 
     std::fs::remove_dir_all(&root).ok();
 }
@@ -636,13 +675,8 @@ fn planned_missions_are_byte_identical_at_any_worker_count() {
         );
         let mut runtime = Runtime::new(logic, artifacts.engine.clone()).with_workers(workers);
         if let Some(faults) = faults {
-            let fallback = artifacts
-                .grid_artifacts(runtime.logic().grid())
-                .expect("selected grid exists")
-                .global_model
-                .clone();
             let plan = FaultPlan::new(faults).expect("fault config is valid");
-            runtime = runtime.with_fault_plan(plan, fallback);
+            runtime = runtime.with_fault_plan(plan);
         }
         let planner = ExecutionPlanner::new(
             config,
@@ -773,15 +807,67 @@ fn plan_off_missions_are_untouched_by_planner_availability() {
 
 #[test]
 fn selection_is_reproducible_across_rederivations() {
+    use kodan::selection::{SelectionLogic, TechniqueSet};
+    use kodan::specialize::ModelScope;
+
     let dataset = small_dataset(1);
-    let artifacts = Transformation::new(KodanConfig::fast(9))
+    let artifacts = &Transformation::new(KodanConfig::fast(9))
         .run(&dataset, ModelArch::MobileNetV2DilatedC1)
         .expect("transformation succeeds");
     let env = SpaceEnvironment::fixed(0.21);
-    for target in HwTarget::ALL {
-        let a = artifacts.select_with_capacity(target, env.frame_deadline, env.capacity_fraction);
-        let b = artifacts.select_with_capacity(target, env.frame_deadline, env.capacity_fraction);
-        assert_eq!(a, b, "selection for {target} not reproducible");
+    let (deadline, capacity) = (env.frame_deadline, env.capacity_fraction);
+    let restricted = |techniques: TechniqueSet| {
+        move |target| {
+            SelectionLogic::build_restricted(artifacts, target, deadline, capacity, techniques)
+        }
+    };
+    // Pinned digests of each constructor's `Debug` output on every target
+    // (policy, estimate and model table): the same bytes as when the
+    // optimizer rebuilt each grid's model table from three fields.
+    let constructors: [(&str, &dyn Fn(HwTarget) -> SelectionLogic, u64); 6] = [
+        (
+            "build",
+            &|target| SelectionLogic::build(artifacts, target, deadline, capacity),
+            0xde87_f8f9_351b_83c4,
+        ),
+        ("tiling_only", &restricted(TechniqueSet::tiling_only()), 0xfef0_52d1_7262_60d1),
+        ("elision_only", &restricted(TechniqueSet::elision_only()), 0xa540_08e0_4ce6_d530),
+        (
+            "specialization_only",
+            &restricted(TechniqueSet::specialization_only()),
+            0xc88b_a44b_d057_0112,
+        ),
+        (
+            "direct_deploy",
+            &|target| SelectionLogic::direct_deploy(artifacts, target, deadline, capacity),
+            0xfba9_b028_c65c_d398,
+        ),
+        (
+            "max_precision_tiling",
+            &|target| {
+                SelectionLogic::max_precision_tiling(artifacts, target, deadline, capacity)
+            },
+            0x9bec_f7bd_a627_b0ec,
+        ),
+    ];
+    let mut observed = Vec::new();
+    for (name, derive, pinned) in constructors {
+        let mut debug = String::new();
+        for target in HwTarget::ALL {
+            let a = derive(target);
+            let b = derive(target);
+            assert_eq!(a, b, "{name} selection for {target} not reproducible");
+            assert_eq!(
+                a.models().first().map(|m| m.scope()),
+                Some(&ModelScope::Global),
+                "{name} selection for {target} must fly the global model in slot 0"
+            );
+            debug.push_str(&format!("{a:?}"));
+        }
+        observed.push((name, fnv1a64(debug.as_bytes()), pinned));
+    }
+    for (name, digest, pinned) in &observed {
+        assert_eq!(digest, pinned, "{name} selection drifted: {observed:x?}");
     }
 }
 
@@ -892,14 +978,9 @@ fn black_box_reports_are_byte_identical_at_any_worker_count() {
             env.frame_deadline,
             env.capacity_fraction,
         );
-        let fallback = artifacts
-            .grid_artifacts(logic.grid())
-            .expect("selected grid exists")
-            .global_model
-            .clone();
         let runtime = Runtime::new(logic, artifacts.engine.clone())
             .with_workers(workers)
-            .with_fault_plan(plan, fallback);
+            .with_fault_plan(plan);
         let mut recorder = FlightRecorder::new(SummaryRecorder::new());
         Mission::new(&env, &world, params).run_with_runtime_recorded(
             &runtime,

@@ -126,8 +126,8 @@ fn selection_estimate_predicts_mission_behavior() {
     );
 }
 
-/// An armed runtime for the fault-path tests: the selected logic plus the
-/// selected grid's global model as the degradation fallback.
+/// An armed runtime for the fault-path tests: the selected logic, whose
+/// slot 0 global model is the degradation fallback.
 fn faulted_runtime(config: kodan_faults::FaultConfig) -> Runtime {
     use kodan_faults::FaultPlan;
     let artifacts = test_artifacts();
@@ -137,13 +137,8 @@ fn faulted_runtime(config: kodan_faults::FaultConfig) -> Runtime {
         env.frame_deadline,
         env.capacity_fraction,
     );
-    let fallback = artifacts
-        .grid_artifacts(logic.grid())
-        .expect("selected grid exists")
-        .global_model
-        .clone();
     let plan = FaultPlan::new(config).expect("fault config is valid");
-    Runtime::new(logic, artifacts.engine.clone()).with_fault_plan(plan, fallback)
+    Runtime::new(logic, artifacts.engine.clone()).with_fault_plan(plan)
 }
 
 #[test]
@@ -311,13 +306,8 @@ fn raw_placed_frames_ship_exactly_their_chosen_tiles() {
         env.frame_deadline,
         env.capacity_fraction,
     );
-    let fallback = artifacts
-        .grid_artifacts(logic.grid())
-        .expect("selected grid exists")
-        .global_model
-        .clone();
     let plan = FaultPlan::new(FaultConfig::nominal(4)).expect("fault config is valid");
-    let runtime = Runtime::new(logic, artifacts.engine.clone()).with_fault_plan(plan, fallback);
+    let runtime = Runtime::new(logic, artifacts.engine.clone()).with_fault_plan(plan);
     let params = MissionParams {
         sample_frames: 24,
         ..mission_params()
@@ -449,11 +439,14 @@ fn mission_reports_are_internally_consistent() {
 #[test]
 fn corrupted_artifact_store_degrades_to_the_global_model() {
     // The load-time mirror of the SEU fallback: flip one byte inside a
-    // specialized-model blob on disk, and the load must still succeed —
-    // substituting the grid's global model for the corrupted slot — and
-    // the quarantined mission must account a fallback on every frame,
-    // exactly like a runtime-detected corruption.
+    // specialized-model blob on disk — a single-context model, then a
+    // merged one — and the load must still succeed, substituting the
+    // grid's global model for the corrupted slot, and the quarantined
+    // mission must account a fallback on every frame, exactly like a
+    // runtime-detected corruption. The global model itself has no
+    // substitute: corrupting it fails the load.
     use kodan::artifact::{load_artifacts, save_artifacts};
+    use kodan::specialize::ModelScope;
     use kodan_telemetry::{CounterId, SummaryRecorder};
     use std::path::Path;
 
@@ -465,73 +458,99 @@ fn corrupted_artifact_store_degrades_to_the_global_model() {
         env.capacity_fraction,
     );
     let grid = logic.grid();
-    let ga = artifacts.grid_artifacts(grid).expect("selected grid exists");
-    let ctx = ga
-        .context_models
-        .iter()
-        .position(Option::is_some)
+    let slots = logic.models().iter().enumerate();
+    let context_slot = slots
+        .clone()
+        .find_map(|(slot, m)| match m.scope() {
+            ModelScope::Context(c) => Some((slot, format!("grid{grid}.ctx{}", c.0))),
+            _ => None,
+        })
         .expect("selected grid has a context model to corrupt");
+    let merged_slot = slots
+        .clone()
+        .find_map(|(slot, m)| match m.scope() {
+            ModelScope::Multi(_) => Some((slot, format!("grid{grid}.merged0"))),
+            _ => None,
+        })
+        .expect("selected grid has a merged model to corrupt");
 
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("end_to_end_corrupt_store");
-    std::fs::remove_dir_all(&dir).ok();
-    let report =
-        save_artifacts(artifacts, &logic, &dir, &mut NullRecorder).expect("save succeeds");
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("end_to_end_corrupt_store");
+    std::fs::remove_dir_all(&root).ok();
+    let save_and_corrupt = |name: &str| {
+        let dir = root.join(name);
+        let report =
+            save_artifacts(artifacts, &logic, &dir, &mut NullRecorder).expect("save succeeds");
+        let entry = report.manifest.entry(name).expect("entry exists");
+        let object = dir.join(format!("objects/{:016x}.bin", entry.digest));
+        let mut bytes = std::fs::read(&object).expect("read object");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&object, &bytes).expect("write corrupted object");
+        dir
+    };
 
-    let name = format!("grid{grid}.ctx{ctx}");
-    let entry = report.manifest.entry(&name).expect("entry exists");
-    let object = dir.join(format!("objects/{:016x}.bin", entry.digest));
-    let mut bytes = std::fs::read(&object).expect("read object");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&object, &bytes).expect("write corrupted object");
+    for (slot, name) in [context_slot, merged_slot] {
+        let dir = save_and_corrupt(&name);
+        let mut recorder = SummaryRecorder::new();
+        let loaded = load_artifacts(&dir, &mut recorder).expect("corrupted load still succeeds");
+        assert_eq!(
+            loaded.recovered.len(),
+            1,
+            "exactly the corrupted model recovers: {:?}",
+            loaded.recovered
+        );
+        assert_eq!(loaded.recovered[0].name, name);
+        assert_eq!(loaded.recovered[0].grid, grid);
+        assert_eq!(loaded.recovered[0].slot, slot);
+        assert_eq!(
+            recorder.snapshot().counter(CounterId::ArtifactsRecovered),
+            1,
+            "{name}: recovery must be counted"
+        );
+        assert_eq!(
+            loaded.quarantined_slots,
+            vec![slot],
+            "the recovered slot of the selected grid is quarantined"
+        );
+        // The substituted model serves the original slot's scope, and
+        // slot 0 still flies the global model.
+        assert_eq!(
+            loaded.selection.models()[slot].scope(),
+            logic.models()[slot].scope(),
+            "{name}: fallback must preserve the corrupted slot's scope"
+        );
+        assert_eq!(
+            loaded.selection.models().first().map(|m| m.scope()),
+            Some(&ModelScope::Global),
+            "{name}: the loaded selection flies the global model in slot 0"
+        );
 
-    let mut recorder = SummaryRecorder::new();
-    let loaded = load_artifacts(&dir, &mut recorder).expect("corrupted load still succeeds");
-    assert_eq!(
-        loaded.recovered.len(),
-        1,
-        "exactly the corrupted model recovers: {:?}",
-        loaded.recovered
-    );
-    assert_eq!(loaded.recovered[0].name, name);
-    assert_eq!(loaded.recovered[0].grid, grid);
-    assert_eq!(
-        recorder.snapshot().counter(CounterId::ArtifactsRecovered),
-        1,
-        "recovery must be counted"
-    );
-    assert_eq!(
-        loaded.quarantined_slots.len(),
-        1,
-        "the recovered slot of the selected grid is quarantined"
-    );
-    // The substituted model serves the original slot's scope.
-    let slot = loaded.quarantined_slots[0];
-    assert_eq!(
-        loaded.selection.models()[slot].scope(),
-        logic.models()[slot].scope(),
-        "fallback must preserve the corrupted slot's scope"
+        let runtime = Runtime::new(loaded.selection, loaded.artifacts.engine.clone())
+            .with_quarantined_models(loaded.quarantined_slots);
+        let world = test_world();
+        let mut mission_recorder = SummaryRecorder::new();
+        let flown = Mission::new(&env, &world, mission_params()).run_with_runtime_recorded(
+            &runtime,
+            SystemKind::Kodan,
+            &mut mission_recorder,
+        );
+        let snapshot = mission_recorder.snapshot();
+        assert_eq!(
+            snapshot.counter(CounterId::ModelFallbacks),
+            snapshot.frames,
+            "{name}: one quarantined slot must account one fallback per frame"
+        );
+        assert!((0.0..=1.0).contains(&flown.dvd), "dvd {}", flown.dvd);
+        assert!(flown.processed_fraction > 0.0);
+    }
+
+    let dir = save_and_corrupt(&format!("grid{grid}.global"));
+    assert!(
+        load_artifacts(&dir, &mut NullRecorder).is_err(),
+        "a corrupted global model has no substitute"
     );
 
-    let runtime = Runtime::new(loaded.selection, loaded.artifacts.engine.clone())
-        .with_quarantined_models(loaded.quarantined_slots);
-    let world = test_world();
-    let mut mission_recorder = SummaryRecorder::new();
-    let flown = Mission::new(&env, &world, mission_params()).run_with_runtime_recorded(
-        &runtime,
-        SystemKind::Kodan,
-        &mut mission_recorder,
-    );
-    let snapshot = mission_recorder.snapshot();
-    assert_eq!(
-        snapshot.counter(CounterId::ModelFallbacks),
-        snapshot.frames,
-        "one quarantined slot must account one fallback per frame"
-    );
-    assert!((0.0..=1.0).contains(&flown.dvd), "dvd {}", flown.dvd);
-    assert!(flown.processed_fraction > 0.0);
-
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
@@ -554,11 +573,13 @@ fn corrupted_quantized_blob_degrades_to_the_f64_reference() {
         env.capacity_fraction,
     );
     let grid = logic.grid();
-    let ga = artifacts.grid_artifacts(grid).expect("selected grid exists");
-    let ctx = ga
-        .context_models
+    let ctx = logic
+        .models()
         .iter()
-        .position(Option::is_some)
+        .find_map(|m| match m.scope() {
+            kodan::specialize::ModelScope::Context(c) => Some(*c),
+            _ => None,
+        })
         .expect("selected grid has a context model");
 
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("end_to_end_corrupt_qmodel");
@@ -567,7 +588,7 @@ fn corrupted_quantized_blob_degrades_to_the_f64_reference() {
         save_artifacts(&artifacts, &logic, &dir, &mut NullRecorder).expect("save succeeds");
     assert!(report.quantized_models > 0, "quantize flag must write companions");
 
-    let qname = format!("grid{grid}.ctx{ctx}.q");
+    let qname = format!("grid{grid}.ctx{}.q", ctx.0);
     let entry = report.manifest.entry(&qname).expect("companion entry exists");
     let object = dir.join(format!("objects/{:016x}.bin", entry.digest));
     let mut bytes = std::fs::read(&object).expect("read object");
@@ -605,8 +626,7 @@ fn corrupted_quantized_blob_degrades_to_the_f64_reference() {
         .artifacts
         .grid_artifacts(grid)
         .expect("grid round-trips")
-        .context_models[ctx]
-        .as_ref()
+        .context_model(ctx)
         .expect("slot still populated");
     assert!(
         !degraded_slot.is_quantized(),
