@@ -7,7 +7,31 @@
 //! modes lower DVD, which is what makes it the right objective for both
 //! the bottlenecked and the idle-compute regimes.
 
+use kodan_cote::time::Duration;
 use serde::{Deserialize, Serialize};
+
+/// The day's compute rule, shared by the selection estimate, the
+/// mission's aggregate report and the pass-level replay: frames that take
+/// longer than the deadline on average are skipped, so only
+/// `deadline / frame_time` of them are processed; a frame time within
+/// the deadline processes them all.
+pub(crate) fn processed_fraction(frame_time: Duration, deadline: Duration) -> f64 {
+    if frame_time <= deadline {
+        1.0
+    } else {
+        deadline / frame_time
+    }
+}
+
+/// `num / den`, or 0.0 when the denominator is not positive (NaN
+/// included): the guarded ratio of the day's densities and coverage.
+pub(crate) fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
+    }
+}
 
 /// Downlink accounting over some horizon, in pixel units (a pixel is the
 /// atomic unit of data value; multiply by bits/pixel to get link units).

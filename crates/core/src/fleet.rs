@@ -21,23 +21,20 @@
 //!   compact journal ([`combine::JournalRecord`]); journals stream
 //!   through a [`combine::SpillCombiner`] that buffers up to a byte
 //!   budget and spills sorted runs into the artifact store, then
-//!   merge-reduces the runs into fleet totals. Peak memory is the
-//!   memtable budget, not the fleet size.
+//!   merge-reduces the runs straight into the [`FleetReport`]. Peak
+//!   memory is the memtable budget, not the fleet size.
 
 pub mod combine;
 
 use crate::fleet::combine::{JournalRecord, SpillCombiner, SpillStats};
-use crate::mission::{Mission, MissionParams, SpaceEnvironment};
+use crate::mission::{landsat_orbit, landsat_segment, Mission, MissionParams, SpaceEnvironment};
 use crate::par::{par_map_recorded, resolve_workers};
 use crate::plan::{ExecutionPlanner, PlanConfig};
 use crate::replay::DayReplay;
 use crate::runtime::Runtime;
 use kodan_cote::constellation::Constellation;
-use kodan_cote::ground::GroundSegment;
 use kodan_cote::orbit::Orbit;
-use kodan_cote::sensor::Imager;
-use kodan_cote::sim::{simulate_space_segment, SpaceSegmentReport};
-use kodan_cote::time::Duration;
+use kodan_cote::sim::SpaceSegmentReport;
 use kodan_geodata::frame::World;
 use kodan_telemetry::{CounterId, Recorder};
 use kodan_wire::{ArtifactStore, WireError};
@@ -83,7 +80,7 @@ impl Default for FleetConfig {
 }
 
 /// The merge-reduced result of a fleet day.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FleetReport {
     /// Satellites flown.
     pub satellites: u64,
@@ -161,31 +158,23 @@ impl<'a> Fleet<'a> {
         store: &ArtifactStore,
         recorder: &mut dyn Recorder,
     ) -> Result<FleetReport, WireError> {
-        let n = self.config.satellites.max(1);
-        let orbit = Orbit::sun_synchronous(705_000.0);
-        let constellation = Constellation::same_plane(orbit, n);
-        let segment = simulate_space_segment(
-            &constellation,
-            &Imager::landsat_oli(),
-            &GroundSegment::landsat(),
-            Duration::from_days(1.0),
-        );
-
-        // Pair each satellite with its own phased orbit so ground
-        // tracks (and therefore sampled frames) differ per satellite.
-        let mut sats: Vec<(u32, Orbit)> = Vec::with_capacity(n);
-        for (index, phased) in constellation.orbits().iter().enumerate() {
-            sats.push((index as u32, *phased));
-        }
+        let constellation =
+            Constellation::same_plane(landsat_orbit(), self.config.satellites.max(1));
+        let segment = landsat_segment(&constellation);
 
         // Satellites are the parallel axis: every satellite flies its
         // estimate and planned passes on one serial copy of the shared
-        // runtime, so no satellite fans out threads of its own.
+        // runtime, so no satellite fans out threads of its own. Each
+        // flies its own phased orbit, so ground tracks (and therefore
+        // sampled frames) differ per satellite.
         let serial = self.runtime.clone().with_workers(1);
         let workers = resolve_workers(self.config.workers);
-        let journals = par_map_recorded(workers, &sats, recorder, |_, item, rec| {
-            self.fly_one(&serial, item.0, item.1, &segment, rec)
-        });
+        let journals = par_map_recorded(
+            workers,
+            constellation.orbits(),
+            recorder,
+            |sat, orbit, rec| self.fly_one(&serial, sat, *orbit, &segment, rec),
+        );
 
         // Serial combine in satellite-index order: the ingest sequence —
         // and with it every spill boundary and fold — is a pure function
@@ -196,78 +185,40 @@ impl<'a> Fleet<'a> {
                 combiner.ingest(store, *record)?;
             }
         }
-        let (totals, spill) = combiner.finish(store)?;
+        let report = combiner.finish(store)?;
 
-        recorder.count(CounterId::FleetSatellitesFlown, totals.satellites);
-        recorder.count(CounterId::FleetSpillRuns, spill.runs);
-        recorder.count(CounterId::FleetSpillBytes, spill.spilled_bytes);
-        recorder.count(CounterId::FleetPeakMemtableBytes, spill.peak_memtable_bytes);
-
-        let observed = totals.observed_px;
-        Ok(FleetReport {
-            satellites: totals.satellites,
-            passes_served: totals.passes_served,
-            observed_px: observed,
-            sent_px: totals.sent_px,
-            sent_value_px: totals.sent_value_px,
-            storage_dropped_px: totals.storage_dropped_px,
-            residual_px: totals.residual_px,
-            shed_px: totals.shed_px,
-            tiles_processed: totals.tiles_processed,
-            tiles_elided: totals.tiles_elided,
-            planned_on_orbit: totals.planned_on_orbit,
-            planned_raw: totals.planned_raw,
-            planned_deferred: totals.planned_deferred,
-            fleet_dvd: if observed > 0.0 {
-                totals.sent_value_px / observed
-            } else {
-                0.0
-            },
-            coverage: if observed > 0.0 {
-                totals.sent_px / observed
-            } else {
-                0.0
-            },
-            transmitted_density: if totals.sent_px > 0.0 {
-                totals.sent_value_px / totals.sent_px
-            } else {
-                0.0
-            },
-            spill,
-        })
+        recorder.count(CounterId::FleetSatellitesFlown, report.satellites);
+        recorder.count(CounterId::FleetSpillRuns, report.spill.runs);
+        recorder.count(CounterId::FleetSpillBytes, report.spill.spilled_bytes);
+        recorder.count(
+            CounterId::FleetPeakMemtableBytes,
+            report.spill.peak_memtable_bytes,
+        );
+        Ok(report)
     }
 
     /// Flies one satellite's day on `runtime` and returns its journal:
     /// the summary row (seq 0) then one row per served pass (seq k), in
     /// `(satellite, seq)` order so the fleet-wide ingest sequence is
     /// globally sorted and spill boundaries cannot reorder the fold.
+    /// The satellite's environment is derived as
+    /// [`SpaceEnvironment::landsat`] derives it, but credits the capacity
+    /// this satellite won at the contended stations, not an equal share.
     fn fly_one(
         &self,
         runtime: &Runtime,
-        sat: u32,
+        sat: usize,
         orbit: Orbit,
         segment: &SpaceSegmentReport,
         rec: &mut dyn Recorder,
     ) -> Vec<JournalRecord> {
-        let imager = Imager::landsat_oli();
+        let satellite = sat as u32;
+        let env = SpaceEnvironment::from_segment(segment, orbit, segment.capacity_bits_for(sat));
         let px_per_frame = (self.params.frame_px * self.params.frame_px) as f64;
-        let bits_per_px = imager.frame_bits() / px_per_frame.max(1.0);
-        let observed_bits = segment.frames_seen_per_satellite as f64 * segment.frame_bits;
-        let capacity_fraction = if observed_bits > 0.0 {
-            (segment.capacity_bits_for(sat as usize) / observed_bits).min(1.0)
-        } else {
-            0.0
-        };
-        let env = SpaceEnvironment {
-            orbit,
-            imager,
-            frame_deadline: segment.frame_deadline,
-            frames_per_day: segment.frames_seen_per_satellite,
-            capacity_fraction,
-        };
+        let bits_per_px = env.imager.frame_bits() / px_per_frame.max(1.0);
         let replay = match DayReplay::new(
             &segment.passes,
-            sat as usize,
+            sat,
             env.frame_deadline,
             env.frames_per_day,
             bits_per_px,
@@ -279,7 +230,7 @@ impl<'a> Fleet<'a> {
             // take the fleet down.
             Err(_) => {
                 return vec![JournalRecord {
-                    satellite: sat,
+                    satellite,
                     seq: 0,
                     ..JournalRecord::default()
                 }]
@@ -297,7 +248,7 @@ impl<'a> Fleet<'a> {
                 plan_config,
                 runtime.logic().target(),
                 env.frame_deadline,
-                capacity_fraction,
+                env.capacity_fraction,
             )
         });
         let flight = mission.fly_frames(runtime, planner.as_ref(), rec);
@@ -305,7 +256,7 @@ impl<'a> Fleet<'a> {
         let (passes, day) = replay.fly_day(&flight.outcomes, rec);
         let mut records = Vec::with_capacity(passes.len() + 1);
         records.push(JournalRecord {
-            satellite: sat,
+            satellite,
             seq: 0,
             observed_px: env.frames_per_day as f64 * px_per_frame,
             storage_dropped_px: day.storage_dropped_px,
@@ -320,7 +271,7 @@ impl<'a> Fleet<'a> {
         });
         for (seq, pass) in (1u32..).zip(&passes) {
             records.push(JournalRecord {
-                satellite: sat,
+                satellite,
                 seq,
                 sent_px: pass.sent_px,
                 sent_value_px: pass.sent_value_px,

@@ -12,10 +12,12 @@
 //! sanctioned filesystem boundary (this module never touches `std::fs`;
 //! the `io-discipline` lint rule enforces that). Finishing the combine
 //! *merge-reduces*: each spilled run is read back (digest-verified),
-//! decoded, and folded into the fleet totals in spill order, followed
+//! decoded, and folded into the [`FleetReport`] in spill order, followed
 //! by the memtable remainder, so the result is byte-identical at any
 //! worker count and any budget.
 
+use crate::dvd::ratio;
+use crate::fleet::FleetReport;
 use kodan_wire::envelope::{open, seal, KIND_FLEET_RUN};
 use kodan_wire::{ArtifactStore, Dec, Enc, ManifestEntry, WireError};
 
@@ -100,39 +102,8 @@ impl JournalRecord {
     }
 }
 
-/// Merge-reduced fleet totals: every journal field folded over every
-/// record of every run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FleetTotals {
-    /// Distinct satellites with a summary row.
-    pub satellites: u64,
-    /// Served ground passes across the fleet.
-    pub passes_served: u64,
-    /// Pixels observed fleet-wide.
-    pub observed_px: f64,
-    /// Pixels transmitted fleet-wide.
-    pub sent_px: f64,
-    /// High-value pixels transmitted fleet-wide.
-    pub sent_value_px: f64,
-    /// Pixels evicted under storage pressure fleet-wide.
-    pub storage_dropped_px: f64,
-    /// Pixels still queued at end of day fleet-wide.
-    pub residual_px: f64,
-    /// Pixels shed to absorb faulted contacts fleet-wide.
-    pub shed_px: f64,
-    /// Tiles processed through specialized models fleet-wide.
-    pub tiles_processed: u64,
-    /// Tiles elided before inference fleet-wide.
-    pub tiles_elided: u64,
-    /// Frames placed on-orbit by the planner fleet-wide.
-    pub planned_on_orbit: u64,
-    /// Frames routed down raw by the planner fleet-wide.
-    pub planned_raw: u64,
-    /// Frames deferred to a later pass by the planner fleet-wide.
-    pub planned_deferred: u64,
-}
-
-impl FleetTotals {
+impl FleetReport {
+    /// Folds one journal row into the totals.
     fn fold(&mut self, r: &JournalRecord) {
         if r.seq == 0 {
             self.satellites += 1;
@@ -242,18 +213,19 @@ impl SpillCombiner {
 
     /// Merge-reduces every spilled run (read back through the store,
     /// digest- and checksum-verified) plus the memtable remainder into
-    /// the fleet totals. Fold order — runs in spill order, records in
-    /// run order, remainder last — is a pure function of the ingest
-    /// sequence, so totals are byte-identical at any worker count.
-    pub fn finish(mut self, store: &ArtifactStore) -> Result<(FleetTotals, SpillStats), WireError> {
-        let mut totals = FleetTotals::default();
+    /// the fleet report, derives its ratios and attaches the spill
+    /// accounting. Fold order — runs in spill order, records in run
+    /// order, remainder last — is a pure function of the ingest
+    /// sequence, so the report is byte-identical at any worker count.
+    pub fn finish(mut self, store: &ArtifactStore) -> Result<FleetReport, WireError> {
+        let mut report = FleetReport::default();
         for entry in &self.runs {
             let sealed = store.read(entry)?;
             let payload = open(&sealed, KIND_FLEET_RUN)?;
             let mut dec = Dec::new(payload);
             let count = dec.u32()?;
             for _ in 0..count {
-                totals.fold(&JournalRecord::decode_from(&mut dec)?);
+                report.fold(&JournalRecord::decode_from(&mut dec)?);
             }
             dec.finish()?;
         }
@@ -261,9 +233,13 @@ impl SpillCombiner {
         self.memtable
             .sort_by(|a, b| (a.satellite, a.seq).cmp(&(b.satellite, b.seq)));
         for r in &self.memtable {
-            totals.fold(r);
+            report.fold(r);
         }
-        Ok((totals, self.stats))
+        report.fleet_dvd = ratio(report.sent_value_px, report.observed_px);
+        report.coverage = ratio(report.sent_px, report.observed_px);
+        report.transmitted_density = ratio(report.sent_value_px, report.sent_px);
+        report.spill = self.stats;
+        Ok(report)
     }
 
     /// The manifest entries of every spilled run, in spill order.
@@ -325,11 +301,12 @@ mod tests {
                 .ingest(&store, record(sat, 1, 100.0))
                 .expect("ingest pass");
         }
-        let (totals, stats) = combiner.finish(&store).expect("finish");
-        assert_eq!(totals.satellites, 4);
-        assert_eq!(totals.passes_served, 4);
-        assert!((totals.sent_px - 400.0).abs() < 1e-9);
-        assert_eq!(totals.tiles_processed, 40);
+        let report = combiner.finish(&store).expect("finish");
+        assert_eq!(report.satellites, 4);
+        assert_eq!(report.passes_served, 4);
+        assert!((report.sent_px - 400.0).abs() < 1e-9);
+        assert_eq!(report.tiles_processed, 40);
+        let stats = report.spill;
         assert!(stats.runs >= 2, "budget must force spills, got {stats:?}");
         assert!(stats.peak_memtable_bytes <= 3 * JournalRecord::ENCODED_BYTES);
         assert_eq!(stats.ingested_bytes, 8 * JournalRecord::ENCODED_BYTES);
@@ -353,11 +330,17 @@ mod tests {
             std::fs::remove_dir_all(&dir).ok();
             out
         };
-        let (tight, tight_stats) = fold_at(JournalRecord::ENCODED_BYTES, "tight");
-        let (roomy, roomy_stats) = fold_at(1 << 20, "roomy");
-        assert_eq!(tight, roomy);
-        assert!(tight_stats.runs > roomy_stats.runs);
-        assert_eq!(roomy_stats.runs, 0, "a roomy memtable never spills");
+        let tight = fold_at(JournalRecord::ENCODED_BYTES, "tight");
+        let roomy = fold_at(1 << 20, "roomy");
+        assert_eq!(
+            FleetReport {
+                spill: roomy.spill,
+                ..tight
+            },
+            roomy
+        );
+        assert!(tight.spill.runs > roomy.spill.runs);
+        assert_eq!(roomy.spill.runs, 0, "a roomy memtable never spills");
     }
 
     #[test]
@@ -367,10 +350,13 @@ mod tests {
         for sat in 0..3u32 {
             combiner.ingest(&store, record(sat, 0, 1.0)).expect("ingest");
         }
-        let (totals, stats) = combiner.finish(&store).expect("finish");
-        assert_eq!(totals.satellites, 3);
-        assert_eq!(stats.runs, 2, "all but the resident record spill");
-        assert_eq!(stats.peak_memtable_bytes, JournalRecord::ENCODED_BYTES);
+        let report = combiner.finish(&store).expect("finish");
+        assert_eq!(report.satellites, 3);
+        assert_eq!(report.spill.runs, 2, "all but the resident record spill");
+        assert_eq!(
+            report.spill.peak_memtable_bytes,
+            JournalRecord::ENCODED_BYTES
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

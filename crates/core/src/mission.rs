@@ -21,7 +21,7 @@
 //! `par` keeps input order, so reports are byte-identical at any worker
 //! count. [`Mission::sample_frames`] renders afresh on every call.
 
-use crate::dvd::DownlinkAccounting;
+use crate::dvd::{processed_fraction, ratio, DownlinkAccounting};
 use crate::par;
 use crate::plan::{ExecutionPlanner, FrameEstimate, PlacementLedger, TileEstimate};
 use crate::replay::DayReplay;
@@ -31,7 +31,7 @@ use kodan_cote::constellation::Constellation;
 use kodan_cote::ground::GroundSegment;
 use kodan_cote::orbit::Orbit;
 use kodan_cote::sensor::{capture_schedule, Imager};
-use kodan_cote::sim::{simulate_space_segment, ServedPass};
+use kodan_cote::sim::{simulate_space_segment, ServedPass, SpaceSegmentReport};
 use kodan_cote::time::Duration;
 use kodan_faults::FaultPlan;
 use kodan_geodata::frame::{FrameImage, World};
@@ -84,37 +84,62 @@ pub struct SpaceEnvironment {
     pub capacity_fraction: f64,
 }
 
+/// The orbit of the paper's evaluation: Landsat's sun-synchronous
+/// 705 km orbit.
+pub(crate) fn landsat_orbit() -> Orbit {
+    Orbit::sun_synchronous(705_000.0)
+}
+
+/// One day of `constellation` carrying OLI-class imagers over the
+/// Landsat ground segment, contended stations resolved.
+pub(crate) fn landsat_segment(constellation: &Constellation) -> SpaceSegmentReport {
+    simulate_space_segment(
+        constellation,
+        &Imager::landsat_oli(),
+        &GroundSegment::landsat(),
+        Duration::from_days(1.0),
+    )
+}
+
 impl SpaceEnvironment {
     /// Builds the Landsat-like environment used throughout the paper's
     /// evaluation: a sun-synchronous 705 km orbit, an OLI-class imager,
     /// and the Landsat ground segment shared among `satellite_count`
-    /// same-plane satellites.
+    /// same-plane satellites, each credited an equal share of it.
     pub fn landsat(satellite_count: usize) -> SpaceEnvironment {
-        let orbit = Orbit::sun_synchronous(705_000.0);
-        let imager = Imager::landsat_oli();
-        let constellation = Constellation::same_plane(orbit, satellite_count);
-        let report = simulate_space_segment(
-            &constellation,
-            &imager,
-            &GroundSegment::landsat(),
-            Duration::from_days(1.0),
-        );
-        let frames_per_day = report.frames_seen_per_satellite;
-        let observed_bits = frames_per_day as f64 * imager.frame_bits();
-        let capacity_per_sat = report.capacity_bits / satellite_count as f64;
+        let orbit = landsat_orbit();
+        let segment = landsat_segment(&Constellation::same_plane(orbit, satellite_count));
+        let capacity_bits = segment.capacity_bits / satellite_count as f64;
+        SpaceEnvironment::from_segment(&segment, orbit, capacity_bits)
+    }
+
+    /// The environment of one satellite flying `orbit` in a Landsat
+    /// `segment`, credited `capacity_bits` of downlink over the day.
+    ///
+    /// A segment that observes no frames has no capacity fraction and
+    /// gets 0.0. [`SpaceEnvironment::landsat`] never reaches that case:
+    /// `Constellation::same_plane` panics on zero satellites first, and
+    /// every Landsat satellite observes thousands of frames a day.
+    pub(crate) fn from_segment(
+        segment: &SpaceSegmentReport,
+        orbit: Orbit,
+        capacity_bits: f64,
+    ) -> SpaceEnvironment {
+        let frames_per_day = segment.frames_seen_per_satellite;
+        let observed_bits = frames_per_day as f64 * segment.frame_bits;
         SpaceEnvironment {
             orbit,
-            imager,
-            frame_deadline: report.frame_deadline,
+            imager: Imager::landsat_oli(),
+            frame_deadline: segment.frame_deadline,
             frames_per_day,
-            capacity_fraction: (capacity_per_sat / observed_bits).min(1.0),
+            capacity_fraction: ratio(capacity_bits, observed_bits).min(1.0),
         }
     }
 
     /// A fixed environment for tests: the Landsat geometry with a pinned
     /// capacity fraction, skipping the contact-window simulation.
     pub fn fixed(capacity_fraction: f64) -> SpaceEnvironment {
-        let orbit = Orbit::sun_synchronous(705_000.0);
+        let orbit = landsat_orbit();
         let imager = Imager::landsat_oli();
         let frame_deadline = imager.frame_deadline(&orbit);
         let frames_per_day = imager.frames_in(&orbit, Duration::from_days(1.0));
@@ -409,11 +434,10 @@ impl<'a> Mission<'a> {
         // the pipe with average-density data (uniform thinning cannot
         // change the density). A plan below that floor made things
         // worse, and the default health rules flag it.
-        let baseline = if report.accounting.observed_px > 0.0 {
-            report.accounting.observed_value_px / report.accounting.observed_px
-        } else {
-            0.0
-        };
+        let baseline = ratio(
+            report.accounting.observed_value_px,
+            report.accounting.observed_px,
+        );
         if baseline > 0.0 && report.dvd < baseline {
             let ppm = (((baseline - report.dvd) / baseline) * 1e6).ceil();
             recorder.count(CounterId::PlannerDvdShortfallPpm, ppm as u64);
@@ -436,12 +460,10 @@ impl<'a> Mission<'a> {
         let hv_prevalence =
             total.observed_value_px as f64 / total.observed_px.max(1) as f64;
 
-        let processed_fraction = if system == SystemKind::BentPipe
-            || mean_frame_time <= self.env.frame_deadline
-        {
+        let processed_fraction = if system == SystemKind::BentPipe {
             1.0
         } else {
-            self.env.frame_deadline / mean_frame_time
+            processed_fraction(mean_frame_time, self.env.frame_deadline)
         };
 
         // Scale to the full day in pixel units.
@@ -530,11 +552,7 @@ impl<'a> Mission<'a> {
             sent_value_px: day.sent_value_px,
             storage_dropped_px: day.storage_dropped_px,
             residual_px: day.residual_px,
-            transmitted_density: if day.sent_px > 0.0 {
-                day.sent_value_px / day.sent_px
-            } else {
-                0.0
-            },
+            transmitted_density: ratio(day.sent_value_px, day.sent_px),
             shed_px: day.shed_px,
             contacts_dropped: day.contacts_dropped,
             contacts_shortened: day.contacts_shortened,
@@ -739,13 +757,7 @@ mod tests {
         // value density, transmitted volume within the passes' capacity.
         let world = World::new(42);
         let a = artifacts(&world);
-        let orbit = kodan_cote::orbit::Orbit::sun_synchronous(705_000.0);
-        let report = kodan_cote::sim::simulate_space_segment(
-            &kodan_cote::constellation::Constellation::single(orbit),
-            &kodan_cote::sensor::Imager::landsat_oli(),
-            &kodan_cote::ground::GroundSegment::landsat(),
-            Duration::from_days(1.0),
-        );
+        let report = landsat_segment(&Constellation::single(landsat_orbit()));
         let env = SpaceEnvironment::landsat(1);
         let logic = a.select_with_capacity(
             HwTarget::OrinAgx15W,
@@ -795,13 +807,7 @@ mod tests {
     fn tight_storage_drops_data_but_keeps_value() {
         let world = World::new(42);
         let a = artifacts(&world);
-        let orbit = kodan_cote::orbit::Orbit::sun_synchronous(705_000.0);
-        let report = kodan_cote::sim::simulate_space_segment(
-            &kodan_cote::constellation::Constellation::single(orbit),
-            &kodan_cote::sensor::Imager::landsat_oli(),
-            &kodan_cote::ground::GroundSegment::landsat(),
-            Duration::from_days(1.0),
-        );
+        let report = landsat_segment(&Constellation::single(landsat_orbit()));
         let env = SpaceEnvironment::landsat(1);
         let logic = a.select_with_capacity(
             HwTarget::OrinAgx15W,

@@ -9,6 +9,7 @@
 //! contact drains nothing, a shortened or faded one drains less, and
 //! the queue sheds its lowest-density entries by the lost capacity.
 
+use crate::dvd::processed_fraction;
 use crate::queue::{DownlinkQueue, QueueEntry};
 use crate::runtime::FrameOutcome;
 use crate::KodanError;
@@ -129,7 +130,10 @@ impl<'a> DayReplay<'a> {
                 })
                 .collect(),
         };
-        let processed_fraction = self.processed_fraction(outcomes);
+        // The sampled frames' mean modeled compute time sets the share of
+        // captures processed (all of them with no outcomes: a zero mean).
+        let (_, mean_frame_time) = FrameOutcome::total_and_mean(outcomes);
+        let processed_fraction = processed_fraction(mean_frame_time, self.frame_deadline);
         let deadline_s = self.frame_deadline.as_seconds();
         let mut queue = DownlinkQueue::new(self.storage_px);
         let mut rows = Vec::with_capacity(contacts.len());
@@ -184,26 +188,6 @@ impl<'a> DayReplay<'a> {
         day.storage_dropped_px = queue.dropped_bits();
         day.residual_px = queue.occupied_bits();
         (rows, day)
-    }
-
-    /// Fraction of captured frames the compute budget lets through: `1.0`
-    /// when the mean modeled frame time meets the deadline (or there are
-    /// no outcomes), else deadline over mean.
-    fn processed_fraction(&self, outcomes: &[FrameOutcome]) -> f64 {
-        if outcomes.is_empty() {
-            return 1.0;
-        }
-        let mut compute_s = 0.0;
-        for o in outcomes {
-            compute_s += o.compute.as_seconds();
-        }
-        let mean_s = compute_s / outcomes.len() as f64;
-        let deadline_s = self.frame_deadline.as_seconds();
-        if mean_s <= deadline_s {
-            1.0
-        } else {
-            deadline_s / mean_s
-        }
     }
 
     /// Serves one contact: drains what survived of it, reports its fault,

@@ -6,13 +6,15 @@
 //! one of the candidate models — to maximize the estimated data value
 //! density of the saturated downlink (paper Section 3.4).
 //!
-//! The estimator mirrors the mission accounting: when the chosen
-//! configuration misses the frame deadline only a fraction of frames get
-//! processed, and when it produces less data than the downlink can carry
-//! the idle capacity counts for nothing. Those two pressures reproduce
-//! the paper's regimes — trade precision for time under a computational
-//! bottleneck, spend idle time on precision otherwise.
+//! The estimator shares the day's processed-fraction rule with the
+//! mission and the replay ([`crate::dvd`]): when the chosen configuration
+//! misses the frame deadline only a fraction of frames get processed. And
+//! when it produces less data than the downlink can carry, the idle
+//! capacity counts for nothing. Those two pressures reproduce the paper's
+//! regimes — trade precision for time under a computational bottleneck,
+//! spend idle time on precision otherwise.
 
+use crate::dvd::processed_fraction;
 use crate::elide::{Action, ActionOutcome};
 use crate::pipeline::{GridArtifacts, TransformationArtifacts};
 use crate::specialize::{ModelScope, SpecializedModel};
@@ -284,7 +286,7 @@ impl SelectionLogic {
             .iter()
             .max_by_key(|g| g.grid)
             .expect("artifacts contain grids");
-        Self::fixed_policy(artifacts, ga.grid, target, deadline, capacity_fraction)
+        Self::fixed_policy(artifacts, ga, target, deadline, capacity_fraction)
     }
 
     /// The "maximum-precision tiling" baseline of Figure 11: the grid
@@ -296,60 +298,34 @@ impl SelectionLogic {
         deadline: Duration,
         capacity_fraction: f64,
     ) -> SelectionLogic {
-        let ga = artifacts
-            .grids
-            .iter()
-            .max_by(|a, b| {
-                precision_rank(a.global_eval_all.precision())
-                    .total_cmp(&precision_rank(b.global_eval_all.precision()))
-            })
+        let ga = best_by(&artifacts.grids, |g| g.global_eval_all.precision())
             .expect("artifacts contain grids");
-        Self::fixed_policy(artifacts, ga.grid, target, deadline, capacity_fraction)
+        Self::fixed_policy(artifacts, ga, target, deadline, capacity_fraction)
     }
 
+    /// The global model on every tile of `ga`, no elision.
     fn fixed_policy(
         artifacts: &TransformationArtifacts,
-        grid: usize,
+        ga: &GridArtifacts,
         target: HwTarget,
         deadline: Duration,
         capacity_fraction: f64,
     ) -> SelectionLogic {
-        let ga = artifacts
-            .grids
-            .iter()
-            .find(|g| g.grid == grid)
-            .expect("grid present in artifacts");
-        let latency = LatencyModel::new(target);
-        let k = artifacts.contexts.len();
-        let outcomes: Vec<(usize, ActionOutcome)> = (0..k)
-            .map(|c| {
-                (
-                    c,
-                    ActionOutcome::process(
-                        0,
-                        &ga.global_eval_per_context[c],
-                        latency.full_model_tile_time(artifacts.arch),
-                    ),
-                )
-            })
-            .collect();
-        let estimate = estimate_policy(
-            &outcomes,
-            &ga.context_weights,
-            grid * grid,
-            &latency,
-            deadline,
-            capacity_fraction,
-        );
         SelectionLogic {
             arch: artifacts.arch,
             target,
-            grid,
-            actions: vec![Action::Process { model_index: 0 }; k],
+            grid: ga.grid,
+            actions: vec![Action::Process { model_index: 0 }; artifacts.contexts.len()],
             models: ga.models.iter().take(1).cloned().collect(),
             deadline,
             capacity_fraction,
-            estimate,
+            estimate: global_model_estimate(
+                artifacts,
+                ga,
+                &LatencyModel::new(target),
+                deadline,
+                capacity_fraction,
+            ),
         }
     }
 
@@ -598,17 +574,22 @@ fn optimize_actions(
 /// deadline" behavior, Section 3.4).
 const DVD_COMPARE_QUANTUM: f64 = 0.005;
 
-/// Ranks a precision for baseline-grid comparison, treating non-finite
-/// values as worst. `ConfusionMatrix::precision` is zero-guarded today,
-/// but corrupted evaluation data (e.g. an injected fault upstream) can
-/// route NaN through this ranking — and `partial_cmp().expect(..)` here
-/// used to panic on it instead of degrading.
-fn precision_rank(precision: f64) -> f64 {
-    if precision.is_finite() {
-        precision
-    } else {
-        f64::NEG_INFINITY
-    }
+/// The item with the highest `key`, the later one on a tie; `None` for
+/// no items. Non-finite keys rank below every finite one: evaluation
+/// statistics are zero-guarded today, but corrupted data (an injected
+/// fault upstream, say) can route NaN here, and the ranking degrades
+/// instead of panicking. Every grid ranking — the maximum-precision
+/// baseline and the tiling sweep's optimal grids — goes through this.
+pub(crate) fn best_by<T>(items: &[T], key: impl Fn(&T) -> f64) -> Option<&T> {
+    let rank = |item: &T| {
+        let k = key(item);
+        if k.is_finite() {
+            k
+        } else {
+            f64::NEG_INFINITY
+        }
+    };
+    items.iter().max_by(|a, b| rank(a).total_cmp(&rank(b)))
 }
 
 /// Lexicographic policy score: meeting the frame deadline first — the
@@ -645,11 +626,7 @@ pub(crate) fn estimate_policy(
         value += w * outcome.value_fraction;
     }
     let frame_time = (base_per_tile + extra) * tiles_per_frame as f64;
-    let processed_fraction = if frame_time <= deadline {
-        1.0
-    } else {
-        deadline / frame_time
-    };
+    let processed_fraction = processed_fraction(frame_time, deadline);
     let eff_sent = processed_fraction * sent;
     let eff_value = processed_fraction * value;
     let dvd = if eff_sent <= 0.0 {
@@ -666,6 +643,34 @@ pub(crate) fn estimate_policy(
     }
 }
 
+/// The price of the global model on every tile of `ga`, no elision: the
+/// fixed baselines' estimate and each point of the tiling sweep.
+pub(crate) fn global_model_estimate(
+    artifacts: &TransformationArtifacts,
+    ga: &GridArtifacts,
+    latency: &LatencyModel,
+    deadline: Duration,
+    capacity_fraction: f64,
+) -> SelectionEstimate {
+    let tile_time = latency.full_model_tile_time(artifacts.arch);
+    let outcomes: Vec<(usize, ActionOutcome)> = (0..artifacts.contexts.len())
+        .map(|c| {
+            (
+                c,
+                ActionOutcome::process(0, &ga.global_eval_per_context[c], tile_time),
+            )
+        })
+        .collect();
+    estimate_policy(
+        &outcomes,
+        &ga.context_weights,
+        ga.grid * ga.grid,
+        latency,
+        deadline,
+        capacity_fraction,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -678,17 +683,25 @@ mod tests {
     #[test]
     fn non_finite_precision_ranks_worst() {
         // Regression for the `.expect("precision is finite")` panic: the
-        // baseline comparator must order NaN/inf below every real
-        // precision instead of aborting.
-        assert_eq!(precision_rank(0.7), 0.7);
-        assert_eq!(precision_rank(f64::NAN), f64::NEG_INFINITY);
-        assert_eq!(precision_rank(f64::INFINITY), f64::NEG_INFINITY);
-        assert_eq!(precision_rank(f64::NEG_INFINITY), f64::NEG_INFINITY);
-        let mut ranks = [f64::NAN, 0.2, 0.9, f64::INFINITY, 0.0];
-        ranks.sort_by(|a, b| precision_rank(*a).total_cmp(&precision_rank(*b)));
-        // Both non-finite values sort first; 0.9 wins the max.
-        assert_eq!(ranks[4], 0.9);
-        assert!((precision_rank(ranks[0])).is_infinite());
+        // grid ranking must order NaN/inf below every real precision
+        // instead of aborting.
+        let id = |p: &f64| *p;
+        assert_eq!(
+            best_by(&[f64::NAN, 0.2, 0.9, f64::INFINITY, 0.0], id),
+            Some(&0.9)
+        );
+        assert_eq!(best_by(&[0.1, f64::NAN], id), Some(&0.1));
+        assert_eq!(best_by(&[f64::NEG_INFINITY, 0.0], id), Some(&0.0));
+        // Only non-finite keys: they tie, and the later item wins.
+        let all_bad = [f64::NAN, f64::INFINITY];
+        assert!(std::ptr::eq(
+            best_by(&all_bad, id).expect("non-empty"),
+            &all_bad[1]
+        ));
+        // Finite ties go to the later item too, as `Iterator::max_by` does.
+        let tied = [(0.5, 'a'), (0.5, 'b'), (0.2, 'c')];
+        assert_eq!(best_by(&tied, |t| t.0), Some(&(0.5, 'b')));
+        assert_eq!(best_by(&[] as &[f64], id), None);
     }
 
     fn process_outcome(prec: f64, recall: f64, prevalence: f64, time_s: f64) -> ActionOutcome {

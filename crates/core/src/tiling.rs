@@ -7,8 +7,7 @@
 //! transformation artifacts and prices each tiling on a target.
 
 use crate::pipeline::TransformationArtifacts;
-use crate::selection::{estimate_policy, SelectionEstimate};
-use crate::elide::ActionOutcome;
+use crate::selection::{best_by, global_model_estimate, SelectionEstimate};
 use kodan_cote::time::Duration;
 use kodan_hw::latency::LatencyModel;
 use kodan_hw::targets::HwTarget;
@@ -33,7 +32,8 @@ pub struct TilingPoint {
 
 /// Sweeps every grid in the artifacts for a target, pricing the
 /// global-model-everywhere policy (the tiling ablation of Figures 13-14:
-/// no contexts, no elision).
+/// no contexts, no elision) exactly as the fixed baselines of
+/// [`crate::selection::SelectionLogic`] price it.
 pub fn tiling_sweep(
     artifacts: &TransformationArtifacts,
     target: HwTarget,
@@ -45,26 +45,8 @@ pub fn tiling_sweep(
         .grids
         .iter()
         .map(|ga| {
-            let outcomes: Vec<(usize, ActionOutcome)> = (0..artifacts.contexts.len())
-                .map(|c| {
-                    (
-                        c,
-                        ActionOutcome::process(
-                            0,
-                            &ga.global_eval_per_context[c],
-                            latency.full_model_tile_time(artifacts.arch),
-                        ),
-                    )
-                })
-                .collect();
-            let estimate = estimate_policy(
-                &outcomes,
-                &ga.context_weights,
-                ga.grid * ga.grid,
-                &latency,
-                deadline,
-                capacity_fraction,
-            );
+            let estimate =
+                global_model_estimate(artifacts, ga, &latency, deadline, capacity_fraction);
             TilingPoint {
                 grid: ga.grid,
                 tiles_per_frame: ga.grid * ga.grid,
@@ -77,31 +59,27 @@ pub fn tiling_sweep(
         .collect()
 }
 
-/// The grid that maximizes validation accuracy.
+/// The grid of the point with the highest `key`. Points with a
+/// non-finite key rank last and ties go to the later point; an empty
+/// sweep has no grid and returns 0.
+fn optimal_grid(points: &[TilingPoint], key: impl Fn(&TilingPoint) -> f64) -> usize {
+    best_by(points, key).map_or(0, |p| p.grid)
+}
+
+/// The grid that maximizes validation accuracy (0 for an empty sweep).
 pub fn accuracy_optimal_grid(points: &[TilingPoint]) -> usize {
-    points
-        .iter()
-        .max_by(|a, b| a.accuracy.partial_cmp(&b.accuracy).expect("finite"))
-        .expect("sweep is non-empty")
-        .grid
+    optimal_grid(points, |p| p.accuracy)
 }
 
-/// The grid that maximizes validation precision.
+/// The grid that maximizes validation precision (0 for an empty sweep).
 pub fn precision_optimal_grid(points: &[TilingPoint]) -> usize {
-    points
-        .iter()
-        .max_by(|a, b| a.precision.partial_cmp(&b.precision).expect("finite"))
-        .expect("sweep is non-empty")
-        .grid
+    optimal_grid(points, |p| p.precision)
 }
 
-/// The grid that maximizes estimated DVD on the target.
+/// The grid that maximizes estimated DVD on the target (0 for an empty
+/// sweep).
 pub fn dvd_optimal_grid(points: &[TilingPoint]) -> usize {
-    points
-        .iter()
-        .max_by(|a, b| a.estimate.dvd.partial_cmp(&b.estimate.dvd).expect("finite"))
-        .expect("sweep is non-empty")
-        .grid
+    optimal_grid(points, |p| p.estimate.dvd)
 }
 
 #[cfg(test)]
@@ -170,6 +148,28 @@ mod tests {
         );
         // On the Orin, dense tiling is unaffordable.
         assert!(orin <= 4, "orin picked grid {orin}");
+    }
+
+    #[test]
+    fn optimal_grid_selectors_survive_nan_keys_and_empty_sweeps() {
+        let mut points = sweep(HwTarget::Gtx1070Ti);
+        let (first, last) = (points[0].grid, points[points.len() - 1].grid);
+        // Corrupted statistics on every point but the first: the NaN
+        // keys rank last, so the one finite point wins each ranking.
+        for p in points.iter_mut().skip(1) {
+            p.accuracy = f64::NAN;
+            p.precision = f64::NAN;
+            p.estimate.dvd = f64::NAN;
+        }
+        assert_eq!(accuracy_optimal_grid(&points), first);
+        assert_eq!(precision_optimal_grid(&points), first);
+        assert_eq!(dvd_optimal_grid(&points), first);
+        // All keys non-finite: they tie, and the later point wins.
+        points[0].accuracy = f64::INFINITY;
+        assert_eq!(accuracy_optimal_grid(&points), last);
+        assert_eq!(accuracy_optimal_grid(&[]), 0);
+        assert_eq!(precision_optimal_grid(&[]), 0);
+        assert_eq!(dvd_optimal_grid(&[]), 0);
     }
 
     #[test]

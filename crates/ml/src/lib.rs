@@ -11,8 +11,8 @@
 //! - [`kmeans`] — k-means++ clustering for automatic context generation,
 //! - [`transform`] — label-vector transformations (standardization, PCA
 //!   via power iteration) swept alongside the metrics,
-//! - [`linear`] / [`mlp`] — binary per-pixel classifiers trained with
-//!   mini-batch SGD,
+//! - [`mlp`] — the binary per-pixel classifier, a one-hidden-layer
+//!   perceptron trained with mini-batch SGD,
 //! - [`eval`] — confusion matrices, accuracy, precision, recall, F1, IoU,
 //! - [`quant`] — i16/i32 fixed-point quantized inference kernels, the
 //!   bit-exact fast path flight hardware would actually run,
@@ -24,14 +24,14 @@
 //! ## Example
 //!
 //! ```
-//! use kodan_ml::linear::LogisticRegression;
+//! use kodan_ml::mlp::Mlp;
 //! use kodan_ml::train::TrainConfig;
 //! use kodan_ml::PixelClassifier;
 //!
-//! // Learn y = x0 > 0.5 from noisy samples.
+//! // Learn y = x0 > 0.5 with four hidden units.
 //! let xs: Vec<Vec<f64>> = (0..200).map(|i| vec![(i % 100) as f64 / 100.0]).collect();
 //! let ys: Vec<bool> = xs.iter().map(|x| x[0] > 0.5).collect();
-//! let model = LogisticRegression::fit(&xs, &ys, &TrainConfig::fast(7));
+//! let model = Mlp::fit(&xs, &ys, 4, &TrainConfig::fast(7));
 //! assert!(model.predict(&[0.9]));
 //! assert!(!model.predict(&[0.1]));
 //! ```
@@ -41,7 +41,6 @@
 
 pub mod eval;
 pub mod kmeans;
-pub mod linear;
 pub mod matrix;
 pub mod metrics;
 pub mod mlp;
@@ -54,7 +53,6 @@ pub mod zoo;
 
 pub use eval::ConfusionMatrix;
 pub use kmeans::KMeans;
-pub use linear::LogisticRegression;
 pub use metrics::DistanceMetric;
 pub use mlp::Mlp;
 pub use quant::QuantizedMlp;
@@ -63,8 +61,9 @@ pub use zoo::ModelArch;
 
 /// A binary classifier over fixed-length feature vectors.
 ///
-/// Both [`LogisticRegression`] and [`Mlp`] implement this; the Kodan core
-/// stores specialized models as `Box<dyn PixelClassifier>`.
+/// [`Mlp`] and its fixed-point form [`QuantizedMlp`] implement this. The
+/// Kodan core holds each specialized model as a concrete `Mlp`, plus an
+/// optional `QuantizedMlp` companion, not as a trait object.
 pub trait PixelClassifier: Send + Sync {
     /// Probability that the sample is positive (high-value / clear).
     fn predict_proba(&self, features: &[f64]) -> f64;

@@ -56,12 +56,20 @@ impl Mlp {
     /// Panics if the data is empty/ragged/mismatched, `hidden` is zero, or
     /// the config is invalid.
     pub fn fit(xs: &[Vec<f64>], ys: &[bool], hidden: usize, config: &TrainConfig) -> Mlp {
-        let flat = crate::linear::FlatData::collect(xs, ys);
-        Mlp::fit_flat(&flat.x, flat.dim, &flat.y, hidden, config)
+        assert!(!xs.is_empty(), "training data required");
+        assert_eq!(xs.len(), ys.len(), "label count mismatch");
+        let dim = xs[0].len();
+        let mut x = Vec::with_capacity(xs.len() * dim);
+        for row in xs {
+            assert_eq!(row.len(), dim, "ragged rows");
+            x.extend_from_slice(row);
+        }
+        Mlp::fit_flat(&x, dim, ys, hidden, config)
     }
 
-    /// Trains on a flat row-major feature buffer; see
-    /// [`crate::linear::LogisticRegression::fit_flat`].
+    /// Trains on a flat row-major feature buffer (`rows * dim` long). This
+    /// is the allocation-friendly entry point the Kodan pipeline uses,
+    /// where features come straight out of the image feature extractor.
     ///
     /// # Panics
     ///
@@ -406,21 +414,83 @@ mod tests {
             correct as f64 / xs.len() as f64 > 0.9,
             "accuracy {correct}/400"
         );
+        // Deep inside each class the probability is extreme.
+        assert!(model.predict_proba(&[0.0, 0.0]) > 0.9);
+        assert!(model.predict_proba(&[-1.0, -1.0]) < 0.1);
+    }
+
+    fn accuracy(model: &Mlp, xs: &[Vec<f64>], ys: &[bool]) -> f64 {
+        let correct = xs
+            .iter()
+            .zip(ys)
+            .filter(|(x, &y)| model.predict(x) == y)
+            .count();
+        correct as f64 / xs.len() as f64
     }
 
     #[test]
-    fn beats_linear_model_on_nonlinear_data() {
-        let (xs, ys) = circle_data(400);
-        let mut config = TrainConfig::fast(1);
-        config.epochs = 300;
-        let mlp = Mlp::fit(&xs, &ys, 16, &config);
-        let lin = crate::linear::LogisticRegression::fit(&xs, &ys, &config);
-        let acc = |f: &dyn Fn(&[f64]) -> bool| {
-            xs.iter().zip(&ys).filter(|(x, &y)| f(x) == y).count()
+    fn flat_entry_point_matches_nested() {
+        let (xs, ys) = circle_data(100);
+        let nested = Mlp::fit(&xs, &ys, 8, &TrainConfig::fast(3));
+        let flat: Vec<f64> = xs.iter().flatten().copied().collect();
+        assert_eq!(
+            nested,
+            Mlp::fit_flat(&flat, 2, &ys, 8, &TrainConfig::fast(3))
+        );
+    }
+
+    #[test]
+    fn l2_shrinks_weights() {
+        let (xs, ys) = circle_data(100);
+        let fit = |l2: f64| {
+            let config = TrainConfig {
+                l2,
+                ..TrainConfig::fast(1)
+            };
+            Mlp::fit(&xs, &ys, 8, &config)
         };
-        let mlp_acc = acc(&|x| mlp.predict(x));
-        let lin_acc = acc(&|x| lin.predict(x));
-        assert!(mlp_acc > lin_acc, "mlp {mlp_acc} vs linear {lin_acc}");
+        let norm = |m: &Mlp| {
+            m.w1.as_slice()
+                .iter()
+                .chain(&m.w2)
+                .map(|w| w * w)
+                .sum::<f64>()
+        };
+        assert!(norm(&fit(0.1)) < norm(&fit(0.0)));
+    }
+
+    #[test]
+    fn adam_also_learns_the_data() {
+        let (xs, ys) = circle_data(400);
+        let config = TrainConfig {
+            optimizer: crate::optimizer::OptimizerKind::Adam,
+            learning_rate: 0.05,
+            epochs: 300,
+            ..TrainConfig::fast(1)
+        };
+        let acc = accuracy(&Mlp::fit(&xs, &ys, 16, &config), &xs, &ys);
+        assert!(acc > 0.9, "adam accuracy {acc}");
+    }
+
+    #[test]
+    fn patience_stops_training_without_breaking_the_model() {
+        let (xs, ys) = circle_data(400);
+        let config = |epochs: usize| TrainConfig {
+            epochs,
+            patience: Some(3),
+            ..TrainConfig::fast(1)
+        };
+        let stopped = Mlp::fit(&xs, &ys, 16, &config(2000));
+        // Training stopped early: a longer budget trains the same model.
+        assert_eq!(stopped, Mlp::fit(&xs, &ys, 16, &config(4000)));
+        // Still a working classifier.
+        assert!(accuracy(&stopped, &xs, &ys) > 0.9);
+    }
+
+    #[test]
+    #[should_panic(expected = "label count mismatch")]
+    fn rejects_mismatched_labels() {
+        let _ = Mlp::fit(&[vec![1.0]], &[true, false], 4, &TrainConfig::fast(0));
     }
 
     #[test]
@@ -428,6 +498,10 @@ mod tests {
         let (xs, ys) = circle_data(100);
         let config = TrainConfig::fast(9);
         assert_eq!(Mlp::fit(&xs, &ys, 8, &config), Mlp::fit(&xs, &ys, 8, &config));
+        assert_ne!(
+            Mlp::fit(&xs, &ys, 8, &config),
+            Mlp::fit(&xs, &ys, 8, &TrainConfig::fast(10))
+        );
     }
 
     #[test]

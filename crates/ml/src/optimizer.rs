@@ -1,6 +1,6 @@
 //! First-order optimizers shared by the trainers.
 //!
-//! Both classifiers train with mini-batch gradients; this module supplies
+//! The classifier trains with mini-batch gradients; this module supplies
 //! the update rule: classic SGD with momentum (the default — cheap and
 //! well-behaved on the small models here) or Adam (faster convergence on
 //! badly-scaled features, useful when the feature pipeline changes).

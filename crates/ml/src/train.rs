@@ -1,4 +1,4 @@
-//! Training configuration shared by the classifiers.
+//! Training configuration, sigmoid and loss of the classifier.
 
 use crate::optimizer::OptimizerKind;
 use serde::{Deserialize, Serialize};

@@ -4,8 +4,8 @@
 
 use kodan_ml::eval::ConfusionMatrix;
 use kodan_ml::kmeans::KMeans;
-use kodan_ml::linear::LogisticRegression;
 use kodan_ml::metrics::DistanceMetric;
+use kodan_ml::mlp::Mlp;
 use kodan_ml::train::{bce_loss, sigmoid, TrainConfig};
 use kodan_ml::transform::TransformKind;
 use kodan_ml::PixelClassifier;
@@ -137,13 +137,13 @@ proptest! {
     }
 
     #[test]
-    fn logistic_outputs_are_probabilities(
+    fn mlp_outputs_are_probabilities(
         seed in 0u64..100,
         n in 4usize..40,
     ) {
         let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / n as f64]).collect();
         let ys: Vec<bool> = xs.iter().map(|x| x[0] > 0.5).collect();
-        let model = LogisticRegression::fit(&xs, &ys, &TrainConfig::fast(seed));
+        let model = Mlp::fit(&xs, &ys, 4, &TrainConfig::fast(seed));
         for x in &xs {
             let p = model.predict_proba(x);
             prop_assert!((0.0..=1.0).contains(&p));

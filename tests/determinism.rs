@@ -809,6 +809,9 @@ fn plan_off_missions_are_untouched_by_planner_availability() {
 fn selection_is_reproducible_across_rederivations() {
     use kodan::selection::{SelectionLogic, TechniqueSet};
     use kodan::specialize::ModelScope;
+    use kodan::tiling::{
+        accuracy_optimal_grid, dvd_optimal_grid, precision_optimal_grid, tiling_sweep,
+    };
 
     let dataset = small_dataset(1);
     let artifacts = &Transformation::new(KodanConfig::fast(9))
@@ -851,6 +854,23 @@ fn selection_is_reproducible_across_rederivations() {
         ),
     ];
     let mut observed = Vec::new();
+    // The tiling sweep prices the same global-model-everywhere policy on
+    // every grid; pinned with its three optimal-grid picks per target.
+    let mut sweeps = String::new();
+    for target in HwTarget::ALL {
+        let sweep = tiling_sweep(artifacts, target, deadline, capacity);
+        sweeps.push_str(&format!(
+            "{sweep:?} {} {} {}\n",
+            accuracy_optimal_grid(&sweep),
+            precision_optimal_grid(&sweep),
+            dvd_optimal_grid(&sweep)
+        ));
+    }
+    observed.push((
+        "tiling_sweep",
+        fnv1a64(sweeps.as_bytes()),
+        0x7c2d_3be5_a981_3f1c,
+    ));
     for (name, derive, pinned) in constructors {
         let mut debug = String::new();
         for target in HwTarget::ALL {
@@ -1110,5 +1130,18 @@ fn space_segment_passes_match_pinned_bits() {
         digest(24),
         (963, 0x6224_c10c_2807_797e),
         "24-satellite passes drifted"
+    );
+    // The environment a satellite derives from its share of that
+    // segment: orbit, deadline, frames per day and capacity fraction.
+    let environments =
+        [1, 4, 24].map(|n| fnv1a64(format!("{:?}", SpaceEnvironment::landsat(n)).as_bytes()));
+    assert_eq!(
+        environments,
+        [
+            0xb530_5ded_fb56_a756,
+            0x84d8_c3c3_1f86_0fb6,
+            0x0175_3b20_e46a_44d0
+        ],
+        "Landsat environments drifted: {environments:x?}"
     );
 }
