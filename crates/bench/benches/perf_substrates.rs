@@ -55,6 +55,18 @@ fn bench_features_and_inference(c: &mut Criterion) {
     c.bench_function("tile_features_r22", |b| {
         b.iter(|| tile_features(black_box(&tiles[0]), 22))
     });
+    // App 4's input is 22 px, so the 22-px tile above takes the copy
+    // path. The tiles it flies are 33 px at Kodan's grid 4 (the stream's
+    // fractional area average) and 12 px at direct deploy's grid 11 (the
+    // bilinear upscale).
+    let kodan_tiles = tile_frame(&frame, 4);
+    c.bench_function("tile_features_33_to_22", |b| {
+        b.iter(|| tile_features(black_box(&kodan_tiles[0]), 22))
+    });
+    let direct_tiles = tile_frame(&frame, 11);
+    c.bench_function("tile_features_12_to_22", |b| {
+        b.iter(|| tile_features(black_box(&direct_tiles[0]), 22))
+    });
 
     let model = SpecializedModel::train_global(
         &tiles,

@@ -45,20 +45,29 @@ pub fn pixel_features(channels: &[f32], size: usize) -> Vec<f64> {
         size * size * CHANNELS,
         "buffer length mismatch"
     );
-    let lum = luminance_plane(channels, size);
+    if size == 0 {
+        return Vec::new();
+    }
+    let lum = luminance_plane(channels);
     let mut out = Vec::with_capacity(size * size * FEATURE_DIM);
-    for r in 0..size {
-        for c in 0..size {
-            let idx = r * size + c;
-            let px = &channels[idx * CHANNELS..(idx + 1) * CHANNELS];
+    let rows = channels
+        .chunks_exact(size * CHANNELS)
+        .zip(lum.chunks_exact(size));
+    for (r, (row_px, row_lum)) in rows.enumerate() {
+        for (c, (px, &l)) in row_px.chunks_exact(CHANNELS).zip(row_lum).enumerate() {
             let blue = f64::from(px[0]);
             let green = f64::from(px[1]);
             let red = f64::from(px[2]);
             let nir = f64::from(px[3]);
             let cirrus = f64::from(px[4]);
-            let l = lum[idx];
 
-            let (local_std, local_range) = neighborhood_stats(&lum, size, r, c);
+            let interior = r > 0 && c > 0 && r + 1 < size && c + 1 < size;
+            let taps = if interior {
+                interior_taps(&lum, size, r, c)
+            } else {
+                clamped_taps(&lum, size, r, c)
+            };
+            let (local_std, local_range) = window_stats(&taps);
             let cirrus_excess = cirrus - 0.05 * l;
             let ndvi = (nir - red) / (nir + red + 1e-6);
             let whiteness = -((blue - green).abs() + (green - red).abs());
@@ -84,35 +93,45 @@ pub fn pixel_features(channels: &[f32], size: usize) -> Vec<f64> {
 }
 
 /// Visible-band luminance plane.
-fn luminance_plane(channels: &[f32], size: usize) -> Vec<f64> {
-    (0..size * size)
-        .map(|idx| {
-            let px = &channels[idx * CHANNELS..(idx + 1) * CHANNELS];
-            (f64::from(px[0]) + f64::from(px[1]) + f64::from(px[2])) / 3.0
-        })
+fn luminance_plane(channels: &[f32]) -> Vec<f64> {
+    channels
+        .chunks_exact(CHANNELS)
+        .map(|px| (f64::from(px[0]) + f64::from(px[1]) + f64::from(px[2])) / 3.0)
         .collect()
 }
 
-/// Standard deviation and range of luminance in the 3x3 neighborhood
-/// (clamped at edges).
-fn neighborhood_stats(lum: &[f64], size: usize, r: usize, c: usize) -> (f64, f64) {
+/// The 3x3 luminance window of a pixel whose window lies inside the
+/// image, row by row: three row slices, no clamping.
+fn interior_taps(lum: &[f64], size: usize, r: usize, c: usize) -> [f64; 9] {
+    let [t, m, b] = [r - 1, r, r + 1].map(|row| &lum[row * size + c - 1..row * size + c + 2]);
+    [t[0], t[1], t[2], m[0], m[1], m[2], b[0], b[1], b[2]]
+}
+
+/// The 3x3 luminance window of a pixel on the image's border ring, row
+/// by row, with coordinates clamped at the edges.
+fn clamped_taps(lum: &[f64], size: usize, r: usize, c: usize) -> [f64; 9] {
+    let last = size as i64 - 1;
+    std::array::from_fn(|k| {
+        let rr = (r as i64 + k as i64 / 3 - 1).clamp(0, last) as usize;
+        let cc = (c as i64 + k as i64 % 3 - 1).clamp(0, last) as usize;
+        lum[rr * size + cc]
+    })
+}
+
+/// Standard deviation and range of a 3x3 luminance window, accumulated
+/// in tap order.
+fn window_stats(taps: &[f64; 9]) -> (f64, f64) {
     let mut sum = 0.0;
     let mut sum_sq = 0.0;
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
-    let mut n = 0.0;
-    for dr in -1i64..=1 {
-        for dc in -1i64..=1 {
-            let rr = (r as i64 + dr).clamp(0, size as i64 - 1) as usize;
-            let cc = (c as i64 + dc).clamp(0, size as i64 - 1) as usize;
-            let v = lum[rr * size + cc];
-            sum += v;
-            sum_sq += v * v;
-            min = min.min(v);
-            max = max.max(v);
-            n += 1.0;
-        }
+    for &v in taps {
+        sum += v;
+        sum_sq += v * v;
+        min = min.min(v);
+        max = max.max(v);
     }
+    let n = taps.len() as f64;
     let mean = sum / n;
     let var = (sum_sq / n - mean * mean).max(0.0);
     (var.sqrt(), max - min)
@@ -123,7 +142,94 @@ mod tests {
     use super::*;
     use crate::frame::World;
     use crate::resize::resize_channels;
+    use crate::resize::tests::{same_bits, stress_image};
     use crate::tile::tile_frame;
+    use proptest::prelude::*;
+
+    /// The clamped-only feature extraction the interior fast path
+    /// replaced, kept as the reference it must match bit for bit.
+    fn reference_pixel_features(channels: &[f32], size: usize) -> Vec<f64> {
+        let lum: Vec<f64> = (0..size * size)
+            .map(|idx| {
+                let px = &channels[idx * CHANNELS..(idx + 1) * CHANNELS];
+                (f64::from(px[0]) + f64::from(px[1]) + f64::from(px[2])) / 3.0
+            })
+            .collect();
+        let mut out = Vec::with_capacity(size * size * FEATURE_DIM);
+        for r in 0..size {
+            for c in 0..size {
+                let idx = r * size + c;
+                let px = &channels[idx * CHANNELS..(idx + 1) * CHANNELS];
+                let blue = f64::from(px[0]);
+                let green = f64::from(px[1]);
+                let red = f64::from(px[2]);
+                let nir = f64::from(px[3]);
+                let cirrus = f64::from(px[4]);
+                let l = lum[idx];
+
+                let (local_std, local_range) = reference_neighborhood_stats(&lum, size, r, c);
+                let cirrus_excess = cirrus - 0.05 * l;
+                let ndvi = (nir - red) / (nir + red + 1e-6);
+                let whiteness = -((blue - green).abs() + (green - red).abs());
+                let nir_blue = (nir / (blue + 1e-3)).min(8.0);
+
+                out.extend_from_slice(&[
+                    blue,
+                    green,
+                    red,
+                    nir,
+                    cirrus,
+                    l,
+                    local_std,
+                    local_range,
+                    cirrus_excess,
+                    ndvi,
+                    whiteness,
+                    nir_blue,
+                ]);
+            }
+        }
+        out
+    }
+
+    fn reference_neighborhood_stats(lum: &[f64], size: usize, r: usize, c: usize) -> (f64, f64) {
+        let mut sum = 0.0;
+        let mut sum_sq = 0.0;
+        let mut min = f64::INFINITY;
+        let mut max = f64::NEG_INFINITY;
+        let mut n = 0.0;
+        for dr in -1i64..=1 {
+            for dc in -1i64..=1 {
+                let rr = (r as i64 + dr).clamp(0, size as i64 - 1) as usize;
+                let cc = (c as i64 + dc).clamp(0, size as i64 - 1) as usize;
+                let v = lum[rr * size + cc];
+                sum += v;
+                sum_sq += v * v;
+                min = min.min(v);
+                max = max.max(v);
+                n += 1.0;
+            }
+        }
+        let mean = sum / n;
+        let var = (sum_sq / n - mean * mean).max(0.0);
+        (var.sqrt(), max - min)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn interior_fast_path_matches_the_clamped_reference_bitwise(
+            seed in 0u64..u64::MAX,
+            size in 1usize..64,
+        ) {
+            let image = stress_image(seed, size * size * CHANNELS);
+            prop_assert!(
+                same_bits(&pixel_features(&image, size), &reference_pixel_features(&image, size)),
+                "{size} px features drifted"
+            );
+        }
+    }
 
     #[test]
     fn feature_matrix_shape() {

@@ -207,23 +207,19 @@ pub fn tile_frame(frame: &FrameImage, grid: usize) -> Vec<TileImage> {
         for tc in 0..grid {
             let mut channels = Vec::with_capacity(tile_px * tile_px * CHANNELS);
             let mut truth = Vec::with_capacity(tile_px * tile_px);
-            let mut surf_counts = [0.0f64; 8];
+            let mut surf_counts = [0usize; 8];
             for r in 0..tile_px {
-                let fr = tr * tile_px + r;
-                for c in 0..tile_px {
-                    let fc = tc * tile_px + c;
-                    let idx = fr * px + fc;
-                    channels.extend_from_slice(
-                        &frame.channels()[idx * CHANNELS..(idx + 1) * CHANNELS],
-                    );
-                    truth.push(frame.truth_cloudy()[idx]);
-                    surf_counts[frame.surface()[idx].index()] += 1.0;
+                let start = (tr * tile_px + r) * px + tc * tile_px;
+                let row = start..start + tile_px;
+                channels
+                    .extend_from_slice(&frame.channels()[row.start * CHANNELS..row.end * CHANNELS]);
+                truth.extend_from_slice(&frame.truth_cloudy()[row.clone()]);
+                for surface in &frame.surface()[row] {
+                    surf_counts[surface.index()] += 1;
                 }
             }
             let n = (tile_px * tile_px) as f64;
-            for s in &mut surf_counts {
-                *s /= n;
-            }
+            let surface_fractions = surf_counts.map(|count| count as f64 / n);
             let cloud_fraction = truth.iter().filter(|&&b| b).count() as f64 / n;
 
             // Tile center offset from frame center, in km then degrees.
@@ -235,7 +231,7 @@ pub fn tile_frame(frame: &FrameImage, grid: usize) -> Vec<TileImage> {
                 size: tile_px,
                 channels,
                 truth_cloudy: truth,
-                surface_fractions: surf_counts,
+                surface_fractions,
                 cloud_fraction,
                 grid_pos: (tr, tc),
                 center_lat_deg: frame.center_lat_deg() + cy_km * deg_per_km,

@@ -453,11 +453,18 @@ impl QuantizedMlp {
         // The blocked kernel is ~2.5x faster when the feature count is
         // a compile-time constant (the vectorizer's unroll and
         // interleave decisions hinge on known trip counts). Dispatching
-        // a literal into an always-inlined body monomorphizes the
-        // pipeline's shipped feature width without duplicating the
-        // kernel; any other width runs the same code with a runtime
-        // count, bit-identically.
+        // a literal into an always-inlined body monomorphizes each
+        // width without duplicating the kernel. The arms are the model
+        // zoo's widths: a specialized model's input width is its
+        // architecture's `ModelArch::feature_budget`, and a test holds
+        // every budget to these arms. Any other width runs the same
+        // code with a runtime count, bit-identically.
         match self.input_dim {
+            6 => self.forward_logits_blocked(6, x, row_stride, emit),
+            8 => self.forward_logits_blocked(8, x, row_stride, emit),
+            9 => self.forward_logits_blocked(9, x, row_stride, emit),
+            10 => self.forward_logits_blocked(10, x, row_stride, emit),
+            11 => self.forward_logits_blocked(11, x, row_stride, emit),
             12 => self.forward_logits_blocked(12, x, row_stride, emit),
             d => self.forward_logits_blocked(d, x, row_stride, emit),
         }
@@ -812,6 +819,84 @@ mod tests {
         (model, quantized, xs, ys)
     }
 
+    /// The widths `QuantizedMlp::forward_logits_into` compiles, one
+    /// literal arm each.
+    const COMPILED_WIDTHS: [usize; 6] = [6, 8, 9, 10, 11, 12];
+
+    /// The feature row stride of the tile pipeline (`kodan-geodata`'s
+    /// `FEATURE_DIM`): models read a prefix of each row.
+    const PIPELINE_STRIDE: usize = 12;
+
+    /// Rows per batch in the shape tests: three full blocks and a
+    /// partial one.
+    const SHAPE_ROWS: usize = 3 * BATCH_BLOCK + 5;
+
+    /// Deterministic pseudo-random values in `[-scale, scale)`.
+    fn lcg_values(seed: u64, n: usize, scale: f64) -> Vec<f64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                ((state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * scale
+            })
+            .collect()
+    }
+
+    /// Every (input width, hidden width) the zoo ships, plus one width
+    /// outside the zoo, which runs the runtime-width body.
+    fn kernel_shapes() -> Vec<(usize, usize)> {
+        let mut shapes: Vec<(usize, usize)> = ModelArch::ALL
+            .iter()
+            .map(|arch| (arch.feature_budget(), arch.hidden_units()))
+            .collect();
+        shapes.push((7, 5));
+        shapes
+    }
+
+    /// A quantized model of one shape with pseudo-random weights, and
+    /// [`SHAPE_ROWS`] feature rows for it at [`PIPELINE_STRIDE`]: feature
+    /// values span the pipeline's range, a few pass the input clamp or
+    /// are NaN, and the padding past the model's width is garbage the
+    /// kernel must not read.
+    fn shaped_case(input_dim: usize, hidden: usize) -> (QuantizedMlp, Vec<f64>) {
+        let seed = (input_dim * 31 + hidden) as u64;
+        let w1 = Matrix::from_flat(hidden, input_dim, lcg_values(seed, hidden * input_dim, 2.0));
+        let b1 = lcg_values(seed + 1, hidden, 1.0);
+        let w2 = lcg_values(seed + 2, hidden, 2.0);
+        let model = QuantizedMlp::from_f64_parts(&w1, &b1, &w2, 0.1, seed);
+        let mut x = lcg_values(seed + 3, SHAPE_ROWS * PIPELINE_STRIDE, 5.0);
+        for (i, row) in x.chunks_exact_mut(PIPELINE_STRIDE).enumerate() {
+            match i % 9 {
+                0 => row[i % input_dim] = 40.0,
+                1 => row[i % input_dim] = f64::NAN,
+                _ => {}
+            }
+            row[input_dim..].fill(99.0);
+        }
+        (model, x)
+    }
+
+    /// The first `width` features of each `stride`-strided row, packed.
+    fn dense(x: &[f64], stride: usize, width: usize) -> Vec<f64> {
+        x.chunks_exact(stride)
+            .flat_map(|row| &row[..width])
+            .copied()
+            .collect()
+    }
+
+    #[test]
+    fn every_zoo_width_runs_a_compiled_kernel() {
+        for arch in ModelArch::ALL {
+            assert!(
+                COMPILED_WIDTHS.contains(&arch.feature_budget()),
+                "{arch}: width {} has no compiled arm",
+                arch.feature_budget()
+            );
+        }
+    }
+
     #[test]
     fn quantization_is_deterministic_and_tagged() {
         let (model, quantized, _, _) = trained_pair(200, 8, 11);
@@ -856,6 +941,33 @@ mod tests {
         let mut strided = Vec::new();
         quantized.predict_proba_batch_into(&padded, 4, &mut strided);
         assert_eq!(batch, strided);
+        // Every zoo shape, compiled or not, dense and at the pipeline's
+        // stride, over a partial final block.
+        for (input_dim, hidden) in kernel_shapes() {
+            let (model, x) = shaped_case(input_dim, hidden);
+            let packed = dense(&x, PIPELINE_STRIDE, input_dim);
+            let mut strided = Vec::new();
+            model.predict_proba_batch_into(&x, PIPELINE_STRIDE, &mut strided);
+            let mut batch = Vec::new();
+            model.predict_proba_batch_into(&packed, input_dim, &mut batch);
+            assert_eq!(batch.len(), SHAPE_ROWS);
+            for (row, (p, q)) in packed
+                .chunks_exact(input_dim)
+                .zip(batch.iter().zip(&strided))
+            {
+                let scalar = model.predict_proba(row).to_bits();
+                assert_eq!(
+                    scalar,
+                    p.to_bits(),
+                    "width {input_dim}: dense batch drifted"
+                );
+                assert_eq!(
+                    scalar,
+                    q.to_bits(),
+                    "width {input_dim}: strided batch drifted"
+                );
+            }
+        }
     }
 
     #[test]
@@ -900,6 +1012,19 @@ mod tests {
         quantized.predict_mask_batch_into(&flat, 2, &mut mask);
         let thresholded: Vec<bool> = probs.iter().map(|&p| p >= 0.5).collect();
         assert_eq!(mask, thresholded);
+        for (input_dim, hidden) in kernel_shapes() {
+            let (model, x) = shaped_case(input_dim, hidden);
+            let packed = dense(&x, PIPELINE_STRIDE, input_dim);
+            let mut probs = Vec::new();
+            model.predict_proba_batch_into(&packed, input_dim, &mut probs);
+            let thresholded: Vec<bool> = probs.iter().map(|&p| p >= 0.5).collect();
+            assert!(thresholded.contains(&true) && thresholded.contains(&false));
+            let mut mask = Vec::new();
+            model.predict_mask_batch_into(&packed, input_dim, &mut mask);
+            assert_eq!(mask, thresholded, "width {input_dim}: dense mask drifted");
+            model.predict_mask_batch_into(&x, PIPELINE_STRIDE, &mut mask);
+            assert_eq!(mask, thresholded, "width {input_dim}: strided mask drifted");
+        }
     }
 
     #[test]

@@ -1145,3 +1145,70 @@ fn space_segment_passes_match_pinned_bits() {
         "Landsat environments drifted: {environments:x?}"
     );
 }
+
+#[test]
+fn prediction_path_matches_pinned_bits() {
+    // The tile -> resize -> features -> inference chain, pinned bit for
+    // bit. Report pins see masks only as pixel counts, so a feature
+    // change that flips no mask would pass them; this digest sees every
+    // bit. Four frames of the default seed-42 mission day are tiled at
+    // every paper grid (44, 33, 22 and 12 px tiles), featurized at every
+    // zoo input resolution (the 2x and fractional area averages, the
+    // copy and bilinear upscales), and classified by an f64 model and
+    // its quantized copy of every architecture.
+    use kodan::specialize::{tile_features, SpecializedModel};
+    use kodan_geodata::tile::tile_frame;
+    use kodan_ml::train::TrainConfig;
+
+    let world = World::new(42);
+    let env = SpaceEnvironment::fixed(0.21);
+    let day = Mission::new(&env, &world, MissionParams::default_sampling()).sample_frames();
+    let frames: Vec<_> = day.iter().step_by(12).take(4).collect();
+    assert_eq!(frames.len(), 4);
+
+    let mut digests: Vec<u8> = Vec::new();
+    let mut push = |bytes: &[u8]| digests.extend_from_slice(&fnv1a64(bytes).to_le_bytes());
+    let mut tiles = Vec::new();
+    for frame in &frames {
+        for grid in [3, 4, 6, 11] {
+            tiles.extend(tile_frame(frame, grid));
+        }
+    }
+    for tile in &tiles {
+        let mut bytes: Vec<u8> = Vec::new();
+        for value in tile.channels() {
+            bytes.extend_from_slice(&value.to_bits().to_le_bytes());
+        }
+        bytes.extend(tile.truth_cloudy().iter().map(|&cloudy| u8::from(cloudy)));
+        for fraction in tile.surface_fractions() {
+            bytes.extend_from_slice(&fraction.to_bits().to_le_bytes());
+        }
+        bytes.extend_from_slice(&tile.cloud_fraction().to_bits().to_le_bytes());
+        push(&bytes);
+    }
+    for tile in &tiles {
+        for arch in ModelArch::ALL {
+            let mut bytes: Vec<u8> = Vec::new();
+            for value in tile_features(tile, arch.input_resolution()) {
+                bytes.extend_from_slice(&value.to_bits().to_le_bytes());
+            }
+            push(&bytes);
+        }
+    }
+    let train: Vec<_> = tiles.iter().filter(|t| t.size() == 33).cloned().collect();
+    for arch in ModelArch::ALL {
+        let model = SpecializedModel::train_global(&train, arch, 2_000, &TrainConfig::fast(7));
+        let mut quantized = model.clone();
+        quantized.quantize_in_place();
+        for tile in &tiles {
+            let mut bytes: Vec<u8> = model.predict_tile(tile).into_iter().map(u8::from).collect();
+            bytes.extend(quantized.predict_tile(tile).into_iter().map(u8::from));
+            push(&bytes);
+        }
+    }
+    assert_eq!(
+        fnv1a64(&digests),
+        0x25b1_c796_1164_c467,
+        "prediction path drifted"
+    );
+}
