@@ -679,9 +679,11 @@ pub fn plan(options: &Options) -> Result<(), String> {
 /// The segment is simulated twice per run: once by
 /// `SpaceEnvironment::landsat` below, whose capacity fraction sizes the
 /// selection, and again inside `Fleet::run_recorded` for the pass
-/// schedules. Both runs give the same passes; handing the first to the
-/// fleet is an open ROADMAP item ("One benchmark PR that unlocks the
-/// subtractions").
+/// schedules. Both runs give the same passes. Since the contact scan
+/// propagates only what its elevation-reach bound cannot rule out, the
+/// second run costs a few hundredths of a second at 24 satellites;
+/// handing the first to the fleet is an open ROADMAP item ("One
+/// benchmark PR that unlocks the subtractions").
 pub fn fleet(options: &Options) -> Result<(), String> {
     let mut recorder = SummaryRecorder::new();
     let (world, artifacts) = build_artifacts_recorded(options, &mut recorder)?;

@@ -8,7 +8,7 @@
 //! - **Geodetic** latitude/longitude/altitude over the WGS84 ellipsoid.
 
 use crate::bodies::{EARTH_E2, EARTH_RADIUS_EQ};
-use crate::time::Epoch;
+use crate::time::{Epoch, SECONDS_PER_DAY};
 use crate::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 use std::f64::consts::{PI, TAU};
@@ -113,6 +113,12 @@ pub fn normalize_longitude(lon: f64) -> f64 {
     l
 }
 
+/// [`gmst`]'s rate, radians per day since J2000.
+const GMST_RATE_PER_DAY: f64 = 6.300_388_098_984_894;
+
+/// [`gmst`]'s rate, radians per second: how fast ECEF turns against ECI.
+pub(crate) const GMST_RATE: f64 = GMST_RATE_PER_DAY / SECONDS_PER_DAY;
+
 /// Greenwich Mean Sidereal Time angle, radians, at the given epoch.
 ///
 /// Linear-rate approximation referenced to J2000; accurate to well under a
@@ -120,7 +126,7 @@ pub fn normalize_longitude(lon: f64) -> f64 {
 /// for contact-window and coverage statistics.
 pub fn gmst(epoch: Epoch) -> f64 {
     let d = epoch.days_since_j2000();
-    let theta = 4.894_961_212_823_058_7 + 6.300_388_098_984_893_5 * d;
+    let theta = 4.894_961_212_823_059 + GMST_RATE_PER_DAY * d;
     theta.rem_euclid(TAU)
 }
 
@@ -161,14 +167,15 @@ pub fn ecef_to_geodetic(r: Vec3) -> Geodetic {
 /// Elevation angle, radians, of a target (ECEF, meters) as seen from an
 /// observer at a geodetic site. Positive means above the local horizon.
 pub fn elevation_angle(site: &Geodetic, target_ecef: Vec3) -> f64 {
-    elevation_from(site.to_ecef(), site.up(), target_ecef)
+    elevation_from(site.to_ecef(), site.up(), target_ecef).0
 }
 
 /// [`elevation_angle`] from a site's precomputed ECEF position and up
-/// vector.
-pub(crate) fn elevation_from(site_ecef: Vec3, up: Vec3, target_ecef: Vec3) -> f64 {
+/// vector, with the slant range (meters) it divides by.
+pub(crate) fn elevation_from(site_ecef: Vec3, up: Vec3, target_ecef: Vec3) -> (f64, f64) {
     let range = target_ecef - site_ecef;
-    (range.dot(up) / range.norm()).clamp(-1.0, 1.0).asin()
+    let slant = range.norm();
+    ((range.dot(up) / slant).clamp(-1.0, 1.0).asin(), slant)
 }
 
 #[cfg(test)]

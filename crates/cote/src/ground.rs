@@ -87,8 +87,23 @@ impl GroundStation {
 
     /// Elevation of the satellite above this station's horizon, radians.
     pub fn elevation_of(&self, sat_ecef: Vec3) -> f64 {
-        elevation_from(self.site_ecef, self.up, sat_ecef)
+        self.look_at(sat_ecef).elevation
     }
+
+    /// The satellite's elevation and slant range from this station.
+    pub(crate) fn look_at(&self, sat_ecef: Vec3) -> Look {
+        let (elevation, range) = elevation_from(self.site_ecef, self.up, sat_ecef);
+        Look { elevation, range }
+    }
+}
+
+/// Where a station sees a satellite at one instant.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Look {
+    /// Elevation above the station's horizon, radians.
+    pub(crate) elevation: f64,
+    /// Slant range from the station, meters.
+    pub(crate) range: f64,
 }
 
 impl fmt::Display for GroundStation {

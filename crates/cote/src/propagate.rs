@@ -8,7 +8,7 @@
 //! complexity of a full SGP4 implementation.
 
 use crate::bodies::{EARTH_J2, EARTH_RADIUS_EQ};
-use crate::coords::{ecef_to_geodetic, eci_to_ecef, Geodetic};
+use crate::coords::{ecef_to_geodetic, eci_to_ecef, Geodetic, GMST_RATE};
 use crate::orbit::Orbit;
 use crate::time::Epoch;
 use crate::vec3::Vec3;
@@ -150,6 +150,28 @@ pub fn position_ecef(orbit: &Orbit, epoch: Epoch) -> Vec3 {
     eci_to_ecef(Perifocal::at(orbit, epoch).position(), epoch)
 }
 
+/// An upper bound, m/s, on the speed of [`position_ecef`] at any epoch:
+/// how fast the satellite can move against the ground stations.
+///
+/// The ECEF position is `Rz(-θ) Rz(Ω) Rx(i) Rz(ω) p(M)`, with the
+/// perifocal position `p` a function of the mean anomaly `M`, and `M`, `Ω`,
+/// `ω` and GMST `θ` each linear in time. By the triangle inequality its
+/// speed is at most the sum of what each moving part contributes:
+///
+/// - `p` moves at `|dp/dM| |dM/dt|`. With eccentric anomaly `E`,
+///   `|dp/dM| = a √((1 + e cos E) / (1 − e cos E))`, largest at perigee,
+///   `a √((1 + e) / (1 − e))`; `dM/dt` is `n` plus its J2 correction.
+/// - each rotation at rate `Ω̇`, `ω̇` or `θ̇` moves a point at radius
+///   `r ≤ a (1 + e)` at no more than `|rate| r`.
+pub(crate) fn ecef_speed_bound(orbit: &Orbit) -> f64 {
+    let el = orbit.elements();
+    let (a, e) = (el.semi_major_axis, el.eccentricity);
+    let (raan_dot, argp_dot, m_dot_corr) = j2_secular_rates(orbit);
+    let perifocal = (orbit.mean_motion() + m_dot_corr).abs() * a * ((1.0 + e) / (1.0 - e)).sqrt();
+    let turning = raan_dot.abs() + argp_dot.abs() + GMST_RATE;
+    perifocal + turning * a * (1.0 + e)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,6 +304,71 @@ mod tests {
                     "position at step {i}"
                 );
             }
+        }
+    }
+
+    /// Asserts that `ecef_speed_bound` dominates the speed of
+    /// `position_ecef` over one revolution, measured by 0.5 s finite
+    /// differences at 2000 instants, and that it is tight enough to prune:
+    /// within 20% of the fastest difference.
+    fn assert_speed_bounded(orbit: &Orbit) {
+        let bound = ecef_speed_bound(orbit);
+        let dt = 0.5;
+        let stride = orbit.period().as_seconds() / 2000.0;
+        let mut fastest: f64 = 0.0;
+        for k in 0..2000 {
+            let t = orbit.epoch() + Duration::from_seconds(k as f64 * stride);
+            let moved = position_ecef(orbit, t + Duration::from_seconds(dt))
+                .distance(position_ecef(orbit, t));
+            fastest = fastest.max(moved / dt);
+        }
+        assert!(
+            fastest <= bound,
+            "{orbit}: {fastest} m/s exceeds the bound {bound}"
+        );
+        assert!(
+            fastest >= 0.8 * bound,
+            "{orbit}: bound {bound} is loose for {fastest} m/s"
+        );
+    }
+
+    #[test]
+    fn speed_bound_dominates_an_eccentric_orbit() {
+        let base = landsat();
+        let eccentric = Orbit::new(
+            crate::orbit::KeplerianElements {
+                semi_major_axis: 10_000_000.0,
+                eccentricity: 0.3,
+                arg_perigee: 1.1,
+                ..*base.elements()
+            },
+            base.epoch(),
+        );
+        assert_speed_bounded(&base);
+        assert_speed_bounded(&eccentric);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn speed_bound_dominates_random_orbits(
+            shape in (300.0f64..2000.0, 0.0f64..0.3, 0.0f64..std::f64::consts::PI),
+            phases in (0.0f64..TAU, 0.0f64..TAU, 0.0f64..TAU),
+        ) {
+            let (altitude_km, eccentricity, inclination) = shape;
+            let (raan, arg_perigee, mean_anomaly) = phases;
+            assert_speed_bounded(&Orbit::new(
+                crate::orbit::KeplerianElements {
+                    semi_major_axis: EARTH_RADIUS_EQ + altitude_km * 1e3,
+                    eccentricity,
+                    inclination,
+                    raan,
+                    arg_perigee,
+                    mean_anomaly,
+                },
+                crate::time::Epoch::mission_start(),
+            ));
         }
     }
 

@@ -1095,9 +1095,11 @@ fn rendered_frames_match_pinned_bits() {
 fn space_segment_passes_match_pinned_bits() {
     // The contact kernel's output, pinned bit for bit: every served pass
     // and the total capacity of one day of the Landsat ground segment,
-    // for a single satellite and for 24 same-plane satellites.
+    // for 1, 24 and 48 same-plane satellites, and the raw windows of two
+    // days against masks of 0, 5 and 25 degrees.
     use kodan_cote::constellation::Constellation;
-    use kodan_cote::ground::GroundSegment;
+    use kodan_cote::ground::{GroundSegment, GroundStation};
+    use kodan_cote::link::contact_windows;
     use kodan_cote::sim::simulate_space_segment;
     use kodan_cote::{Duration, Imager, Orbit};
 
@@ -1130,6 +1132,36 @@ fn space_segment_passes_match_pinned_bits() {
         digest(24),
         (963, 0x6224_c10c_2807_797e),
         "24-satellite passes drifted"
+    );
+    assert_eq!(
+        digest(48),
+        (1923, 0x34ef_96db_fa44_7d0a),
+        "48-satellite passes drifted"
+    );
+    // The Landsat stations plus a station at a 0 degree mask and one at
+    // a 25 degree mask, so the scan's pruning is exercised away from 5.
+    let mut stations = GroundSegment::landsat().stations().to_vec();
+    stations.push(GroundStation::new("Horizon", -33.9, 18.4, 0.0, 1.5e8));
+    stations.push(GroundStation::new("Steep", 35.7, 139.7, 25.0, 8.0e8));
+    let windows = contact_windows(
+        &Orbit::sun_synchronous(705_000.0),
+        &GroundSegment::new(stations),
+        Duration::from_days(2.0),
+    );
+    let mut text = String::new();
+    for w in &windows {
+        text.push_str(&format!(
+            "{} {:016x} {:016x} {:016x}\n",
+            w.station,
+            w.start.seconds_since_start().to_bits(),
+            w.end.seconds_since_start().to_bits(),
+            w.rate_bps.to_bits(),
+        ));
+    }
+    assert_eq!(
+        (windows.len(), fnv1a64(text.as_bytes())),
+        (94, 0xb2ed_495a_209f_f383),
+        "two-day windows at masks 0, 5 and 25 degrees drifted"
     );
     // The environment a satellite derives from its share of that
     // segment: orbit, deadline, frames per day and capacity fraction.

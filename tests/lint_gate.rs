@@ -41,6 +41,30 @@ fn workspace_is_lint_clean() {
 }
 
 #[test]
+fn every_sanctioned_path_exists() {
+    // A carve-out that names a deleted file would silently exempt any
+    // file later written at that path, so every path a rule sanctions
+    // (the index and reduction carve-outs and each scope exclusion) must
+    // exist.
+    use kodan_lint::passes::{INDEX_SANCTIONED, REDUCTION_SANCTIONED};
+    let exclusions: Vec<String> = default_rules()
+        .into_iter()
+        .flat_map(|rule| rule.exclude)
+        .collect();
+    let missing: Vec<&str> = INDEX_SANCTIONED
+        .iter()
+        .chain(&REDUCTION_SANCTIONED)
+        .copied()
+        .chain(exclusions.iter().map(String::as_str))
+        .filter(|path| !workspace_root().join(path).exists())
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "sanctioned paths that do not exist: {missing:?}"
+    );
+}
+
+#[test]
 fn gate_catches_a_seeded_violation() {
     // Write a file with one violation per category into the scratch dir
     // and confirm the same scan pipeline flags all three categories.
