@@ -2,7 +2,7 @@
 //! at one worker vs four on an 8-frame batch, and `Mission::sample_frames`
 //! rendering the default 48-frame day at 1, 2 and 4 render workers.
 //!
-//! The deterministic data-parallel layer (`kodan_core::par`) promises a
+//! The deterministic data-parallel layer (`kodan_geodata::par`) promises a
 //! pure wall-clock win: byte-identical outputs at any worker count, with
 //! throughput scaling by the contiguous-shard schedule. This bench pins
 //! both halves of that promise and writes `BENCH_parallel_speedup.json`
@@ -17,10 +17,10 @@
 
 use criterion::Criterion;
 use kodan::mission::{Mission, MissionParams, SpaceEnvironment};
-use kodan::par;
 use kodan::runtime::{FrameOutcome, Runtime};
 use kodan_bench::{banner, bench_artifacts, bench_world};
 use kodan_geodata::frame::FrameImage;
+use kodan_geodata::par;
 use kodan_hw::targets::HwTarget;
 use kodan_ml::zoo::ModelArch;
 use kodan_telemetry::{NullRecorder, SummaryRecorder};

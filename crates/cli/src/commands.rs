@@ -118,10 +118,6 @@ fn build_config(options: &Options) -> KodanConfig {
     config
 }
 
-fn build_artifacts(options: &Options) -> Result<(World, TransformationArtifacts), String> {
-    build_artifacts_recorded(options, &mut NullRecorder)
-}
-
 fn build_artifacts_recorded(
     options: &Options,
     recorder: &mut dyn Recorder,
@@ -269,7 +265,7 @@ pub fn contexts(options: &Options) -> Result<(), String> {
 
 /// `kodan transform`
 pub fn transform(options: &Options) -> Result<(), String> {
-    let (_, artifacts) = build_artifacts(options)?;
+    let (_, artifacts) = build_artifacts_recorded(options, &mut NullRecorder)?;
     println!(
         "transformed {} with {} contexts (engine agreement {:.2})",
         options.app,
@@ -895,7 +891,7 @@ pub fn artifacts(rest: &[String]) -> Result<(), String> {
 
 /// `kodan coverage`
 pub fn coverage(options: &Options) -> Result<(), String> {
-    let (_, artifacts) = build_artifacts(options)?;
+    let (_, artifacts) = build_artifacts_recorded(options, &mut NullRecorder)?;
     let env = SpaceEnvironment::landsat(1);
     let cmp = coverage_comparison(
         &artifacts,

@@ -211,14 +211,6 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Classifies a tile into a context.
-    pub fn classify(&self, tile: &TileImage) -> ContextId {
-        match self {
-            EngineKind::Learned(engine) => engine.classify(tile),
-            EngineKind::ExpertMap(engine) => engine.classify(tile),
-        }
-    }
-
     /// Classifies a tile and reports the assignment to `recorder`: a
     /// [`TelemetryEvent::TileClassified`] journal entry plus a counter
     /// attributing the classification to the learned or expert engine.
@@ -382,9 +374,22 @@ mod tests {
     fn engine_kind_dispatches_to_both_engines() {
         let (train_tiles, _, contexts) = setup();
         let learned = ContextEngine::train(&train_tiles, &contexts);
-        let kind: EngineKind = learned.clone().into();
-        for t in train_tiles.iter().take(10) {
-            assert_eq!(kind.classify(t), learned.classify(t));
+        let expert_contexts = ContextSet::generate_expert(&train_tiles);
+        let expert = ExpertMapEngine::new(*World::new(42).surface(), &expert_contexts)
+            .expect("contexts are expert");
+        let learned_kind: EngineKind = learned.clone().into();
+        let expert_kind: EngineKind = expert.into();
+        let mut null = kodan_telemetry::NullRecorder;
+        for (i, t) in train_tiles.iter().take(10).enumerate() {
+            let index = i as u32;
+            assert_eq!(
+                learned_kind.classify_recorded(t, index, &mut null),
+                learned.classify(t)
+            );
+            assert_eq!(
+                expert_kind.classify_recorded(t, index, &mut null),
+                expert.classify(t)
+            );
         }
     }
 
@@ -392,10 +397,10 @@ mod tests {
     fn recorded_classification_matches_and_attributes() {
         let (train_tiles, _, contexts) = setup();
         let learned = ContextEngine::train(&train_tiles, &contexts);
-        let kind: EngineKind = learned.into();
+        let kind: EngineKind = learned.clone().into();
         let mut recorder = kodan_telemetry::SummaryRecorder::new();
         for (i, t) in train_tiles.iter().take(12).enumerate() {
-            let plain = kind.classify(t);
+            let plain = learned.classify(t);
             let recorded = kind.classify_recorded(t, i as u32, &mut recorder);
             assert_eq!(plain, recorded);
         }

@@ -28,7 +28,7 @@ pub mod combine;
 
 use crate::fleet::combine::{JournalRecord, SpillCombiner, SpillStats};
 use crate::mission::{landsat_orbit, landsat_segment, Mission, MissionParams, SpaceEnvironment};
-use crate::par::{par_map_recorded, resolve_workers};
+use crate::par::par_map_recorded;
 use crate::plan::{ExecutionPlanner, PlanConfig};
 use crate::replay::DayReplay;
 use crate::runtime::Runtime;
@@ -36,6 +36,7 @@ use kodan_cote::constellation::Constellation;
 use kodan_cote::orbit::Orbit;
 use kodan_cote::sim::SpaceSegmentReport;
 use kodan_geodata::frame::World;
+use kodan_geodata::par::resolve_workers;
 use kodan_telemetry::{CounterId, Recorder};
 use kodan_wire::{ArtifactStore, WireError};
 

@@ -107,6 +107,10 @@ pub enum KodanError {
     /// A day replay was asked for non-positive (or NaN) on-board storage
     /// or bits per pixel; no queue or pass budget can be built from that.
     InvalidReplay,
+    /// The representative dataset holds fewer than two frames, so the
+    /// transformation cannot split it into training and validation
+    /// frames; carries the frame count.
+    DatasetTooSmall(usize),
 }
 
 impl fmt::Display for KodanError {
@@ -125,6 +129,11 @@ impl fmt::Display for KodanError {
             KodanError::InvalidReplay => {
                 write!(f, "day replay needs positive storage and bits per pixel")
             }
+            KodanError::DatasetTooSmall(frames) => write!(
+                f,
+                "representative dataset has {frames} frame(s); the transformation \
+                 needs at least 2 to split training from validation frames"
+            ),
         }
     }
 }

@@ -22,7 +22,6 @@
 //! count. [`Mission::sample_frames`] renders afresh on every call.
 
 use crate::dvd::{processed_fraction, ratio, DownlinkAccounting};
-use crate::par;
 use crate::plan::{ExecutionPlanner, FrameEstimate, PlacementLedger, TileEstimate};
 use crate::replay::DayReplay;
 use crate::runtime::{bent_pipe_frame, tile_pixel_tally, FrameOutcome, Runtime};
@@ -35,6 +34,7 @@ use kodan_cote::sim::{simulate_space_segment, ServedPass, SpaceSegmentReport};
 use kodan_cote::time::Duration;
 use kodan_faults::FaultPlan;
 use kodan_geodata::frame::{FrameImage, World};
+use kodan_geodata::par::{par_map_indexed, resolve_workers};
 use kodan_geodata::tile::tile_frame;
 use kodan_telemetry::{CounterId, NullRecorder, Recorder, StageId};
 use serde::{Deserialize, Serialize};
@@ -256,7 +256,7 @@ impl<'a> Mission<'a> {
             env,
             world,
             params,
-            workers: par::resolve_workers(0),
+            workers: resolve_workers(0),
             frames: OnceLock::new(),
         }
     }
@@ -265,7 +265,7 @@ impl<'a> Mission<'a> {
     /// auto-detect. Worker count only changes wall-clock time — frames
     /// and reports are bit-identical for any value.
     pub fn with_workers(mut self, workers: usize) -> Mission<'a> {
-        self.workers = par::resolve_workers(workers);
+        self.workers = resolve_workers(workers);
         self
     }
 
@@ -281,7 +281,7 @@ impl<'a> Mission<'a> {
         let n = self.params.sample_frames.min(schedule.len());
         let stride = (schedule.len() / n).max(1);
         let captures: Vec<_> = schedule.iter().step_by(stride).take(n).collect();
-        par::par_map_indexed(self.workers, &captures, |_, cap| {
+        par_map_indexed(self.workers, &captures, |_, cap| {
             let t_days = (cap.epoch - self.env.orbit.epoch()).as_days();
             self.world.render_frame(
                 cap.center.latitude_deg(),

@@ -24,6 +24,7 @@ use crate::specialize::{ModelScope, SpecializedModel};
 use crate::KodanError;
 use kodan_cote::time::Duration;
 use kodan_geodata::dataset::Dataset;
+use kodan_geodata::par::{par_map_indexed, resolve_workers};
 use kodan_geodata::tile::TileImage;
 use kodan_hw::targets::HwTarget;
 use kodan_ml::eval::ConfusionMatrix;
@@ -162,8 +163,9 @@ impl Transformation {
     ///
     /// # Errors
     ///
-    /// Returns [`KodanError::NoGrids`] if the configuration lists no
-    /// tile grids to sweep.
+    /// Returns [`KodanError::DatasetTooSmall`] if `dataset` holds fewer
+    /// than two frames, and [`KodanError::NoGrids`] if the configuration
+    /// lists no tile grids to sweep.
     pub fn run(
         &self,
         dataset: &Dataset,
@@ -181,8 +183,9 @@ impl Transformation {
     ///
     /// # Errors
     ///
-    /// Returns [`KodanError::NoGrids`] if the configuration lists no
-    /// tile grids to sweep.
+    /// Returns [`KodanError::DatasetTooSmall`] if `dataset` holds fewer
+    /// than two frames, and [`KodanError::NoGrids`] if the configuration
+    /// lists no tile grids to sweep.
     pub fn run_recorded(
         &self,
         dataset: &Dataset,
@@ -190,6 +193,10 @@ impl Transformation {
         recorder: &mut dyn Recorder,
     ) -> Result<TransformationArtifacts, KodanError> {
         let config = &self.config;
+        // Each side of the split needs a frame of its own.
+        if dataset.len() < 2 {
+            return Err(KodanError::DatasetTooSmall(dataset.len()));
+        }
         let (train, val) = dataset.split(config.train_fraction, config.seed);
 
         // Contexts and engine are generated at the grid closest to the
@@ -340,8 +347,8 @@ impl Transformation {
             }
         }
 
-        let workers = crate::par::resolve_workers(config.workers);
-        let models = crate::par::par_map_indexed(workers, &tasks, |_, task| match task {
+        let workers = resolve_workers(config.workers);
+        let models = par_map_indexed(workers, &tasks, |_, task| match task {
             TrainTask::Global => SpecializedModel::train_global(
                 &train_tiles,
                 arch,

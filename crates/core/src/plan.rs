@@ -23,11 +23,14 @@
 //!
 //! Planning happens in two passes. Pass one dry-runs the runtime to
 //! collect a [`FrameEstimate`] per frame (compute seconds, downlink
-//! volume, and a per-tile cloud mask from the cheap context-engine
-//! scan). Pass two replays the frames under the chosen placements:
-//! `ProcessOnOrbit` frames run the full Kodan pipeline, `DownlinkRaw`
-//! and `Defer` frames skip inference and ship their clearest raw tiles
-//! into the spare capacity of a contact pass.
+//! volume, and each tile's clear-pixel count). The clear-pixel counts
+//! are read from the tiles' ground-truth cloud masks
+//! (`TileImage::cloud_fraction`), which a satellite cannot see; the
+//! ROADMAP item "Plan only on what the satellite can see" replaces them
+//! with an observable score. Pass two replays the frames under the
+//! chosen placements: `ProcessOnOrbit` frames run the full Kodan
+//! pipeline, `DownlinkRaw` and `Defer` frames skip inference and ship
+//! their clearest raw tiles into the spare capacity of a contact pass.
 
 pub mod contact;
 pub mod thermal;
@@ -102,7 +105,10 @@ impl PlanConfig {
 }
 
 /// Raw per-tile facts the planner ranks tiles by: size and the clear
-/// (non-cloud) pixels the cheap context-engine scan reports.
+/// (non-cloud) pixels of the tile's ground-truth cloud mask.
+/// `Mission::estimate_frames` fills them from each tile's
+/// `TileImage::cloud_fraction`, not from anything observable on board
+/// (see the ROADMAP item "Plan only on what the satellite can see").
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TileEstimate {
     /// Tile index within its frame's grid.
@@ -114,7 +120,7 @@ pub struct TileEstimate {
 }
 
 /// Everything the planner knows about one frame before placing it: the
-/// dry-run Kodan outcome plus the raw tile mask.
+/// dry-run Kodan outcome plus each tile's [`TileEstimate`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FrameEstimate {
     /// Modeled seconds the full Kodan pipeline spends on the frame.

@@ -25,18 +25,19 @@
 //! determinism suite pins their byte-identity across worker counts — so
 //! reordering, dropping or duplicating an emission here is a visible
 //! regression, not a cosmetic change. Per-frame streams are captured on
-//! tapes by [`par::par_map_recorded`] and replayed in frame order, which
+//! tapes by [`par_map_recorded`] and replayed in frame order, which
 //! is what makes any recorder (summary, tape, trace, flight) see the
 //! serial event order regardless of `workers`.
 
 use crate::elide::Action;
 use crate::engine::EngineKind;
-use crate::par;
+use crate::par::par_map_recorded;
 use crate::plan::{DayPlan, Placement};
 use crate::selection::SelectionLogic;
 use kodan_cote::time::Duration;
 use kodan_faults::{FaultPlan, FrameFaults, SeuUpset};
 use kodan_geodata::frame::FrameImage;
+use kodan_geodata::par::resolve_workers;
 use kodan_geodata::tile::{tile_frame, TileImage};
 use kodan_hw::latency::LatencyModel;
 use kodan_telemetry::{
@@ -178,7 +179,7 @@ impl Runtime {
             logic,
             engine: engine.into(),
             latency,
-            workers: par::resolve_workers(0),
+            workers: resolve_workers(0),
             faults: None,
             quarantined: Vec::new(),
             plan: None,
@@ -241,7 +242,7 @@ impl Runtime {
     /// means auto-detect. Worker count only changes wall-clock time —
     /// outcomes and telemetry are bit-identical for any value.
     pub fn with_workers(mut self, workers: usize) -> Runtime {
-        self.workers = par::resolve_workers(workers);
+        self.workers = resolve_workers(workers);
         self
     }
 
@@ -579,7 +580,7 @@ impl Runtime {
         frames: &[FrameImage],
         recorder: &mut dyn Recorder,
     ) -> Vec<FrameOutcome> {
-        par::par_map_recorded(self.workers, frames, recorder, |i, frame, rec| {
+        par_map_recorded(self.workers, frames, recorder, |i, frame, rec| {
             self.process_frame_indexed(frame, i as u64, rec)
         })
     }

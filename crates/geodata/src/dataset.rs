@@ -7,6 +7,7 @@
 //! per-pixel truth, to be tiled and labeled on demand.
 
 use crate::frame::{FrameImage, World};
+use crate::par::{par_map_indexed, resolve_workers};
 use crate::tile::{tile_frame, TileImage};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -75,7 +76,9 @@ impl Dataset {
     /// Frame centers follow polar-orbit statistics: the latitude of a
     /// ground-track point is `arcsin(sin(u))`-distributed (denser near the
     /// turning latitudes), and longitudes are uniform. Capture times are
-    /// spread over the configured span so cloud systems vary.
+    /// spread over the configured span so cloud systems vary. Frames
+    /// render on the [`crate::par`] executor at the auto worker count,
+    /// which changes only how fast they arrive.
     ///
     /// # Panics
     ///
@@ -96,7 +99,9 @@ impl Dataset {
                 (lat, lon, t)
             })
             .collect();
-        let frames = render_parallel(world, &placements, config.frame_px, config.frame_km);
+        let frames = par_map_indexed(resolve_workers(0), &placements, |_, &(lat, lon, t)| {
+            world.render_frame(lat, lon, t, config.frame_px, config.frame_km)
+        });
         Dataset { frames }
     }
 
@@ -179,50 +184,6 @@ impl Dataset {
             .collect();
         (Dataset { frames: train }, Dataset { frames: val })
     }
-}
-
-/// Renders frames at the given placements across worker threads, keeping
-/// output order. Thread count adapts to the host; results are identical
-/// to sequential rendering because each frame depends only on its
-/// placement and the (shared, immutable) world.
-fn render_parallel(
-    world: &World,
-    placements: &[(f64, f64, f64)],
-    frame_px: usize,
-    frame_km: f64,
-) -> Vec<FrameImage> {
-    // geodata sits below kodan_core in the dependency graph and cannot
-    // use par; order-keyed slots give the same guarantee.
-    // lint:allow(thread-discipline): par lives above geodata in the dep graph; the probe only sizes the pool, never the output
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(placements.len().max(1));
-    if workers <= 1 || placements.len() < 4 {
-        return placements
-            .iter()
-            .map(|&(lat, lon, t)| world.render_frame(lat, lon, t, frame_px, frame_km))
-            .collect();
-    }
-    let mut slots: Vec<Option<FrameImage>> = vec![None; placements.len()];
-    let chunk = placements.len().div_ceil(workers);
-    // lint:allow(thread-discipline): scoped spawn writes disjoint index-keyed slots, so output equals the serial render order
-    crossbeam::scope(|scope| {
-        for (slot_chunk, place_chunk) in
-            slots.chunks_mut(chunk).zip(placements.chunks(chunk))
-        {
-            scope.spawn(move |_| {
-                for (slot, &(lat, lon, t)) in slot_chunk.iter_mut().zip(place_chunk) {
-                    *slot = Some(world.render_frame(lat, lon, t, frame_px, frame_km));
-                }
-            });
-        }
-    })
-    .expect("render workers do not panic");
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot rendered"))
-        .collect()
 }
 
 #[cfg(test)]

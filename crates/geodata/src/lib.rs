@@ -20,7 +20,8 @@
 //!   tiling to model input resolution (paper Section 3, Figure 6),
 //! - [`features`] — per-pixel feature extraction for the ML substrate,
 //! - [`dataset`] — representative dataset assembly and train/validation
-//!   splits.
+//!   splits,
+//! - [`par`] — the workspace's deterministic data-parallel executor.
 //!
 //! The generator is designed so the phenomena Kodan exploits *emerge* from
 //! the data rather than being hard-coded: cloud/surface separability varies
@@ -48,6 +49,7 @@ pub mod dataset;
 pub mod features;
 pub mod frame;
 pub mod noise;
+pub mod par;
 pub mod pixel;
 pub mod resize;
 pub mod stats;

@@ -82,7 +82,7 @@ pub struct ScopedRule {
     /// Path prefixes carved *out* of the scope: a file matching any of
     /// these is never in scope, even when it matches `include`. Used for
     /// rules whose invariant has a single sanctioned home (e.g. thread
-    /// spawning is confined to `kodan_core::par`).
+    /// spawning is confined to `kodan_geodata::par`).
     pub exclude: Vec<String>,
 }
 
@@ -205,7 +205,7 @@ pub fn default_rules() -> Vec<ScopedRule> {
             rule: Rule {
                 id: "thread-discipline",
                 category: Category::Determinism,
-                description: "thread spawning outside kodan_core::par; route parallelism \
+                description: "thread spawning outside kodan_geodata::par; route parallelism \
                               through par::par_map_indexed/par_map_recorded so outputs \
                               stay interleaving-independent",
                 exempt_test_code: true,
@@ -214,9 +214,10 @@ pub fn default_rules() -> Vec<ScopedRule> {
                 },
             },
             include: paths(&DETERMINISTIC_CRATES),
-            // The deterministic data-parallel layer is the one sanctioned
-            // home for threads; everything else must go through it.
-            exclude: vec!["crates/core/src/par.rs".to_string()],
+            // The deterministic executor is the one sanctioned home for
+            // threads; everything else, core's telemetry-aware layer
+            // included, must go through it.
+            exclude: vec!["crates/geodata/src/par.rs".to_string()],
         },
         ScopedRule {
             rule: Rule {
@@ -416,7 +417,8 @@ mod tests {
         assert_eq!(td.rule.category, Category::Determinism);
         assert!(td.applies_to("crates/geodata/src/dataset.rs"));
         assert!(td.applies_to("crates/core/src/runtime.rs"));
-        assert!(!td.applies_to("crates/core/src/par.rs"));
+        assert!(td.applies_to("crates/core/src/par.rs"));
+        assert!(!td.applies_to("crates/geodata/src/par.rs"));
         assert!(!td.applies_to("crates/cli/src/main.rs"));
     }
 

@@ -1080,14 +1080,30 @@ fn rendered_frames_match_pinned_bits() {
             "no {surface} pixel in the pinned frames"
         );
     }
-    let digests: Vec<u8> = frames
-        .iter()
-        .flat_map(|f| frame_digest(f).to_le_bytes())
-        .collect();
+    let digest_of = |frames: &[kodan_geodata::FrameImage]| {
+        let digests: Vec<u8> = frames
+            .iter()
+            .flat_map(|f| frame_digest(f).to_le_bytes())
+            .collect();
+        fnv1a64(&digests)
+    };
     assert_eq!(
-        fnv1a64(&digests),
+        digest_of(&frames),
         0xa9e5_d72c_25c8_0982,
         "rendered frames drifted"
+    );
+
+    // The representative dataset every transformation trains on, at the
+    // CLI's default 32 frames: its placements are drawn serially and its
+    // frames rendered on the shared executor, so a change to either shows.
+    let mut config = DatasetConfig::evaluation(42);
+    config.frame_count = 32;
+    let dataset = Dataset::sample(&world, &config);
+    assert_eq!(dataset.len(), 32);
+    assert_eq!(
+        digest_of(dataset.frames()),
+        0xdfa1_ce4b_49c7_fb93,
+        "representative dataset drifted"
     );
 }
 

@@ -287,6 +287,24 @@ fn invalid_replay_inputs_return_err() {
 }
 
 #[test]
+fn one_frame_datasets_return_err() {
+    // The transformation splits its dataset at frame granularity, so a
+    // dataset of one frame (`kodan transform --frames 1`) is a typed
+    // error before any split — never a panic.
+    use kodan::pipeline::Transformation;
+    use kodan::{KodanConfig, KodanError};
+    use kodan_geodata::{Dataset, DatasetConfig};
+    use kodan_ml::ModelArch;
+
+    let mut config = DatasetConfig::evaluation(42);
+    config.frame_count = 1;
+    let dataset = Dataset::sample(&test_world(), &config);
+    let result =
+        Transformation::new(KodanConfig::fast(7)).run(&dataset, ModelArch::ResNet50DilatedPpm);
+    assert_eq!(result, Err(KodanError::DatasetTooSmall(1)));
+}
+
+#[test]
 fn raw_placed_frames_ship_exactly_their_chosen_tiles() {
     // The raw placement contract. A frame the planner routes down raw
     // or defers runs no model: every tile is elided, exactly the plan's

@@ -154,10 +154,10 @@ fn gate_covers_the_faults_crate() {
 #[test]
 fn gate_enforces_thread_discipline() {
     // All parallelism in the deterministic crates must route through
-    // kodan_core::par, whose index-keyed merge keeps outputs independent
-    // of thread interleaving. Seed a raw crossbeam scope into a fake
-    // runtime file and confirm the gate fires — and that par.rs itself is
-    // carved out of the rule's scope.
+    // kodan_geodata::par, whose shard-ordered merge keeps outputs
+    // independent of thread interleaving. Seed a raw crossbeam scope into
+    // a fake runtime file and confirm the gate fires — and that the
+    // executor's file, and only it, is carved out of the rule's scope.
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint_gate_thread_fixture");
     let src_dir = dir.join("crates/core/src");
     std::fs::create_dir_all(&src_dir).expect("create fixture tree");
@@ -179,12 +179,19 @@ fn gate_enforces_thread_discipline() {
         report.diagnostics
     );
 
-    // The same source inside par.rs is the sanctioned implementation site.
+    // The same source inside geodata's par.rs is the sanctioned
+    // implementation site; core's telemetry-aware par.rs is not.
     assert!(
-        scan_source("crates/core/src/par.rs", src, &rules).is_empty(),
-        "par.rs must be excluded from thread-discipline"
+        scan_source("crates/geodata/src/par.rs", src, &rules).is_empty(),
+        "geodata's par.rs must be excluded from thread-discipline"
     );
-    // And the escape hatch works where threading predates par.
+    assert!(
+        scan_source("crates/core/src/par.rs", src, &rules)
+            .iter()
+            .any(|d| d.rule_id == "thread-discipline"),
+        "core's par.rs must not spawn threads of its own"
+    );
+    // And the escape hatch still suppresses the rule line by line.
     let allowed = "pub fn f() {\n    \
                    // lint:allow(thread-discipline): pre-par threading\n    \
                    crossbeam::scope(|s| { let _ = s; }).ok();\n}\n";
