@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks of the hot substrate paths: frame
-//! rendering, tiling + resize, feature extraction, model inference,
-//! k-means, orbit propagation and the space-segment simulation. These
-//! quantify the simulator's own cost (not the paper's results) and guard
-//! against performance regressions in the inner loops.
+//! rendering, tiling + resize, feature extraction, model inference and
+//! training, k-means, orbit propagation and the space-segment
+//! simulation. These quantify the simulator's own cost (not the paper's
+//! results) and guard against performance regressions in the inner
+//! loops.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use kodan::specialize::{tile_features, SpecializedModel};
+use kodan::specialize::{tile_features, tile_labels, SpecializedModel};
 use kodan_cote::constellation::Constellation;
 use kodan_cote::ground::GroundSegment;
 use kodan_cote::orbit::Orbit;
@@ -14,6 +15,7 @@ use kodan_cote::propagate::propagate;
 use kodan_cote::sensor::Imager;
 use kodan_cote::sim::simulate_space_segment;
 use kodan_cote::time::Duration;
+use kodan_geodata::features::FEATURE_DIM;
 use kodan_geodata::frame::World;
 use kodan_geodata::pixel::CHANNELS;
 use kodan_geodata::resize::resize_channels;
@@ -21,6 +23,7 @@ use kodan_geodata::tile::tile_frame;
 use kodan_ml::kmeans::KMeans;
 use kodan_ml::matrix::Matrix;
 use kodan_ml::metrics::DistanceMetric;
+use kodan_ml::mlp::Mlp;
 use kodan_ml::quant::{quantize_input_into, QuantizedMatrix};
 use kodan_ml::train::TrainConfig;
 use kodan_ml::zoo::ModelArch;
@@ -81,6 +84,40 @@ fn bench_features_and_inference(c: &mut Criterion) {
     quantized.quantize_in_place();
     c.bench_function("model_predict_tile_quantized", |b| {
         b.iter(|| quantized.predict_tile(black_box(&tiles[0])))
+    });
+}
+
+fn bench_training(c: &mut Criterion) {
+    // App 4's three model widths (global 12, single-context 4, merged 6
+    // hidden units over 10 features) at the training scale `kodan
+    // transform` and the benchmark's set-up use: 8,000 pixels, 40
+    // epochs of the evaluation configuration (minibatches of 64,
+    // patience 12). One iteration trains all three.
+    let world = World::new(42);
+    let frame = world.render_frame(12.0, -71.0, 0.0, 132, 150.0);
+    let arch = ModelArch::ResNet50DilatedPpm;
+    let (width, r) = (arch.feature_budget(), arch.input_resolution());
+    let (mut x, mut y) = (Vec::new(), Vec::new());
+    for tile in tile_frame(&frame, 6) {
+        let feats = tile_features(&tile, r);
+        for (row, label) in feats.chunks_exact(FEATURE_DIM).zip(tile_labels(&tile, r)) {
+            x.extend_from_slice(&row[..width]);
+            y.push(label);
+        }
+    }
+    x.truncate(8_000 * width);
+    y.truncate(8_000);
+    let config = TrainConfig {
+        epochs: 40,
+        ..TrainConfig::evaluation(42)
+    };
+    let full = arch.hidden_units();
+    c.bench_function("fit_flat_app4", |b| {
+        b.iter(|| {
+            [full, full / 3, full / 2].map(|hidden| {
+                Mlp::fit_flat(black_box(&x), width, &y, hidden, &config).weight_checksum()
+            })
+        })
     });
 }
 
@@ -163,6 +200,7 @@ criterion_group!(
     bench_frame_render,
     bench_tiling_and_resize,
     bench_features_and_inference,
+    bench_training,
     bench_matvec_substrates,
     bench_kmeans,
     bench_propagation,

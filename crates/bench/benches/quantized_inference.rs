@@ -8,6 +8,8 @@
 //! and writes `BENCH_quantized_inference.json` at the repo root so
 //! future PRs have a speedup floor to compare against: the mask path
 //! should stay at or above 2x over f64 batch inference at every width.
+//! The f64 column times the mask kernel f64 tile prediction flies
+//! (`Mlp::predict_mask_batch_into`, the blocked f64 kernel).
 
 use criterion::Criterion;
 use kodan::specialize::{tile_features, tile_labels};
@@ -86,11 +88,9 @@ fn bench_app(
 
     let mut probs: Vec<f64> = Vec::new();
     let mut mask: Vec<bool> = Vec::new();
-    criterion.bench_function(&format!("predict_batch_f64_w{width}"), |b| {
+    criterion.bench_function(&format!("predict_batch_f64_mask_w{width}"), |b| {
         b.iter(|| {
-            model.predict_proba_batch_into(black_box(eval_x), FEATURE_DIM, &mut probs);
-            mask.clear();
-            mask.extend(probs.iter().map(|p| *p >= 0.5));
+            model.predict_mask_batch_into(black_box(eval_x), FEATURE_DIM, &mut mask);
             black_box(mask.len())
         })
     });
@@ -109,9 +109,7 @@ fn bench_app(
 
     // Fixed-rep measurements for the committed baseline.
     let f64_mask_s = time_batch(TRIALS, REPS, || {
-        model.predict_proba_batch_into(eval_x, FEATURE_DIM, &mut probs);
-        mask.clear();
-        mask.extend(probs.iter().map(|p| *p >= 0.5));
+        model.predict_mask_batch_into(eval_x, FEATURE_DIM, &mut mask);
         mask.len()
     });
     let quantized_proba_s = time_batch(TRIALS, REPS, || {
@@ -133,8 +131,8 @@ fn bench_app(
 
     // Accuracy retention on the same evaluation batch: the fixed-point
     // model must keep at least 99% of the f64 model's accuracy.
-    model.predict_proba_batch_into(eval_x, FEATURE_DIM, &mut probs);
-    let f64_mask: Vec<bool> = probs.iter().map(|p| *p >= 0.5).collect();
+    let mut f64_mask: Vec<bool> = Vec::new();
+    model.predict_mask_batch_into(eval_x, FEATURE_DIM, &mut f64_mask);
     quantized.predict_mask_batch_into(eval_x, FEATURE_DIM, &mut mask);
     let reference = ConfusionMatrix::from_predictions(&f64_mask, eval_y);
     let candidate = ConfusionMatrix::from_predictions(&mask, eval_y);

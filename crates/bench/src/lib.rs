@@ -33,8 +33,8 @@ pub fn bench_world() -> World {
     World::new(BENCH_SEED)
 }
 
-/// The on-orbit climatology world (67 % cloud cover [23]), used by the
-/// motivation figures.
+/// The on-orbit climatology world (67 % cloud cover, the paper's
+/// reference 23), used by the motivation figures.
 pub fn climatology_world() -> World {
     World::with_cloud_coverage(BENCH_SEED, 0.67)
 }

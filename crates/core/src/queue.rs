@@ -201,7 +201,7 @@ impl DownlinkQueue {
     /// Drains up to `budget_bits` in highest-value-density order.
     /// Entries are transmitted whole except possibly the last, which is
     /// split (a tile can straddle two passes) — unless the would-be
-    /// remainder is below [`SPLIT_EPSILON_BITS`], in which case the
+    /// remainder is below `SPLIT_EPSILON_BITS` (1e-9), in which case the
     /// entry goes down whole so no untrackable sliver survives.
     ///
     /// `entries_sent` in the returned report uses completion

@@ -238,28 +238,21 @@ impl SpecializedModel {
     pub fn predict_tile(&self, tile: &TileImage) -> Vec<bool> {
         let feats = tile_features(tile, self.input_resolution);
         let r = self.input_resolution;
-        // Fused batch forward pass over all r*r pixels: one scratch
-        // buffer for the whole tile instead of a per-pixel loop of
-        // classifier calls. Both paths read the first `feature_budget`
-        // features of each FEATURE_DIM-strided row — the same slices
-        // the per-pixel path passed — and 0.5 is the
-        // [`PixelClassifier::predict`] threshold, so each path's mask is
-        // bit-identical to thresholding its own probabilities.
-        let pred_at_r: Vec<bool> = match &self.quantized {
-            // The quantized fast path thresholds the integer logit
-            // directly and never touches the sigmoid.
-            Some(quantized) => {
-                let mut mask = Vec::new();
-                quantized.predict_mask_batch_into(&feats, FEATURE_DIM, &mut mask);
-                mask
-            }
-            None => {
-                let mut probs = Vec::new();
-                self.classifier
-                    .predict_proba_batch_into(&feats, FEATURE_DIM, &mut probs);
-                probs.iter().map(|&p| p >= 0.5).collect()
-            }
-        };
+        // Fused batch mask pass over all r*r pixels, blocked across
+        // pixels. Both paths read the first `feature_budget` features of
+        // each FEATURE_DIM-strided row — the same slices the per-pixel
+        // path passed — and decide from the logit, so each path's mask
+        // is bit-identical to thresholding its own probabilities at the
+        // [`PixelClassifier::predict`] threshold of 0.5. The quantized
+        // kernel never touches the sigmoid; the f64 one only for logits
+        // just below zero.
+        let mut pred_at_r = Vec::new();
+        match &self.quantized {
+            Some(q) => q.predict_mask_batch_into(&feats, FEATURE_DIM, &mut pred_at_r),
+            None => self
+                .classifier
+                .predict_mask_batch_into(&feats, FEATURE_DIM, &mut pred_at_r),
+        }
         resize_mask(&pred_at_r, r, tile.size())
     }
 

@@ -13,7 +13,7 @@
 //! stations share the scan.
 //!
 //! For most of a day no station is near the satellite, and near a station
-//! most instants are far from its mask. One bound, [`Reach`], says how far
+//! most instants are far from its mask. One bound, `Reach`, says how far
 //! a station's elevation can move within `h` seconds of an instant whose
 //! elevation and slant range are known, and the scan propagates nothing
 //! that bound rules out:

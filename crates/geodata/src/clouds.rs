@@ -42,7 +42,8 @@ impl CloudField {
     /// coverage fraction.
     ///
     /// The paper's representative dataset is 52 % cloudy; the global
-    /// climatology used for the motivation figures is 67 % [23].
+    /// climatology used for the motivation figures is 67 % (the paper's
+    /// reference 23).
     ///
     /// # Panics
     ///

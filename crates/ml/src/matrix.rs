@@ -1,8 +1,12 @@
 //! Dense row-major matrices.
 //!
 //! A deliberately small linear-algebra core: just what k-means, PCA and
-//! the SGD trainers need. No BLAS, no SIMD heroics — the matrices involved
-//! (thousands of rows, tens of columns) are small enough that clarity wins.
+//! the MLP's weight storage need. No BLAS, no SIMD heroics — the matrices
+//! involved (thousands of rows, tens of columns) are small enough that
+//! clarity wins. The MLP's forward passes do not go through
+//! [`Matrix::matvec_into`]: they run the blocked kernel in
+//! [`crate::mlp`], which reads each weight row as one slice and matches
+//! the matvec's per-row accumulation order bit for bit.
 
 use kodan_wire::{Dec, Decode, Enc, Encode, WireError};
 use serde::{Deserialize, Serialize};
@@ -120,8 +124,8 @@ impl Matrix {
     }
 
     /// Allocation-free matrix-vector product into a caller-provided
-    /// buffer; the hot-loop form of [`Matrix::matvec`] (bit-identical
-    /// results — same per-row accumulation order).
+    /// buffer (bit-identical to [`Matrix::matvec`] — same per-row
+    /// accumulation order).
     ///
     /// # Panics
     ///

@@ -16,7 +16,7 @@
 //!   ties to even — IEEE's default rounding, computed by mantissa
 //!   alignment against `1.5 * 2^52` so the hot loop is one float add
 //!   and a bit reinterpretation, with no libm call and no
-//!   float-to-int saturation; see [`quantize_signed`]) and clamped to
+//!   float-to-int saturation; see `quantize_signed`) and clamped to
 //!   ±[`INPUT_CLAMP`]. The pixel feature set is bounded (channels and
 //!   luminance in `[0, 1]`, indices in `[-2, 8]`), so the clamp —
 //!   ±16.0 in real terms — is never active on in-range features and
@@ -47,7 +47,7 @@
 //! rather than wraps so a pathological bias cannot flip the ReLU gate
 //! sign through wraparound. The batch kernel additionally proves, per
 //! model, when the bias add cannot overflow at all
-//! ([`QuantizedMlp::bias_add_wrap_free`]) and then runs it as a plain
+//! (`QuantizedMlp::bias_add_wrap_free`) and then runs it as a plain
 //! add — bit-identical by construction, and much kinder to the
 //! vectorizer than the saturating form.
 //!
@@ -61,7 +61,7 @@
 //! asks for probabilities; mask prediction skips the sigmoid entirely
 //! because `sigmoid(z) >= 0.5  <=>  z >= 0`.
 //!
-//! The batch entry points process [`BATCH_BLOCK`] predictions per
+//! The batch entry points process `BATCH_BLOCK` predictions per
 //! block so the integer MACs vectorize across the batch dimension.
 //! Blocking only interleaves *independent* accumulator chains — within
 //! one prediction the accumulation order (inputs in column order,

@@ -1260,3 +1260,86 @@ fn prediction_path_matches_pinned_bits() {
         "prediction path drifted"
     );
 }
+
+#[test]
+fn mlp_training_and_probabilities_match_pinned_bits() {
+    // The f64 MLP kernels, pinned bit for bit: every trained weight
+    // (`Mlp::weight_checksum`) and every probability bit. The
+    // prediction-path pin sees masks only, so a drift that flips no
+    // mask would pass it; this digest sees both. Each architecture
+    // trains at the widths the transformation gives it: global (the
+    // zoo width), single-context (a third, at least 3) and merged (a
+    // half, at least 4). The four optimizer/patience combinations
+    // rotate across the 21 shapes (early stopping fires within the six
+    // epochs for three of them, under both optimizers), and 777
+    // training rows make every epoch end on a partial minibatch of 50.
+    // Probabilities cover two whole tiles read at the pipeline's
+    // `FEATURE_DIM` stride.
+    use kodan::specialize::{tile_features, tile_labels};
+    use kodan_geodata::features::FEATURE_DIM;
+    use kodan_geodata::tile::tile_frame;
+    use kodan_ml::optimizer::OptimizerKind;
+    use kodan_ml::train::TrainConfig;
+    use kodan_ml::Mlp;
+
+    const ROWS: usize = 777;
+    let world = World::new(42);
+    let frame = world.render_frame(12.0, -71.0, 0.0, 132, 150.0);
+    let tiles = tile_frame(&frame, 4);
+    let combos = [
+        (OptimizerKind::SgdMomentum, None, 0.5),
+        (OptimizerKind::Adam, Some(2), 0.05),
+        (OptimizerKind::SgdMomentum, Some(1), 0.5),
+        (OptimizerKind::Adam, None, 0.05),
+    ];
+    let mut digests: Vec<u8> = Vec::new();
+    let mut shape = 0;
+    for arch in ModelArch::ALL {
+        let (width, r) = (arch.feature_budget(), arch.input_resolution());
+        let mut x = Vec::with_capacity(ROWS * width);
+        let mut y = Vec::with_capacity(ROWS);
+        for tile in &tiles {
+            let feats = tile_features(tile, r);
+            for (row, label) in feats.chunks_exact(FEATURE_DIM).zip(tile_labels(tile, r)) {
+                if y.len() < ROWS {
+                    x.extend_from_slice(&row[..width]);
+                    y.push(label);
+                }
+            }
+        }
+        assert_eq!(y.len(), ROWS);
+        let eval: Vec<f64> = tiles[5..7]
+            .iter()
+            .flat_map(|t| tile_features(t, r))
+            .collect();
+        let full = arch.hidden_units();
+        for hidden in [full, (full / 3).max(3), (full / 2).max(4)] {
+            let (optimizer, patience, learning_rate) = combos[shape % combos.len()];
+            let config = TrainConfig {
+                epochs: 6,
+                batch_size: 50,
+                learning_rate,
+                optimizer,
+                patience,
+                ..TrainConfig::fast(11 + shape as u64)
+            };
+            shape += 1;
+            let model = Mlp::fit_flat(&x, width, &y, hidden, &config);
+            digests.extend_from_slice(&model.weight_checksum().to_le_bytes());
+            let mut probs = Vec::new();
+            model.predict_proba_batch_into(&eval, FEATURE_DIM, &mut probs);
+            assert_eq!(probs.len(), 2 * r * r);
+            let bytes: Vec<u8> = probs
+                .iter()
+                .flat_map(|p| p.to_bits().to_le_bytes())
+                .collect();
+            digests.extend_from_slice(&fnv1a64(&bytes).to_le_bytes());
+        }
+    }
+    assert_eq!(shape, 21);
+    assert_eq!(
+        fnv1a64(&digests),
+        0x06a3_6fa6_3517_de0a,
+        "f64 MLP kernels drifted"
+    );
+}
