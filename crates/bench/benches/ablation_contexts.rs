@@ -56,7 +56,7 @@ fn main() {
         row(&[
             n(k as u64),
             f(artifacts.engine_val_agreement),
-            f(ga.composite_eval_all.precision()),
+            f(ga.composite_eval_all().precision()),
             f(logic.estimate().dvd),
             n(processed),
             n(elided),

@@ -10,7 +10,7 @@
 //! will hand it, including the engine's systematic confusions.
 
 use kodan::context::ContextId;
-use kodan::specialize::SpecializedModel;
+use kodan::specialize::{ModelScope, SpecializedModel};
 use kodan_bench::{banner, bench_artifacts, bench_kodan_config, f, n, row, s};
 use kodan_geodata::tile::TileImage;
 use kodan_geodata::Dataset;
@@ -55,10 +55,10 @@ fn main() {
                     .cloned()
                     .collect();
                 if subset.len() >= 5 {
-                    Some(SpecializedModel::train_for_context(
+                    Some(SpecializedModel::train(
                         &subset,
                         arch,
-                        ContextId(c),
+                        ModelScope::Context(ContextId(c)),
                         config.max_train_pixels,
                         &config.train,
                     ))

@@ -53,7 +53,7 @@ fn main() {
             s(name),
             n(artifacts.contexts.len() as u64),
             f(artifacts.engine_val_agreement),
-            f(ga.composite_eval_all.precision()),
+            f(ga.composite_eval_all().precision()),
             f(logic.estimate().dvd),
         ]);
 

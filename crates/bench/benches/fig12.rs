@@ -25,8 +25,8 @@ fn main() {
     for arch in ModelArch::ALL {
         let artifacts = bench_artifacts(arch);
         let ga = artifacts.grid_artifacts(6).expect("grid 6 swept");
-        let direct = &ga.global_eval_all;
-        let ctx = &ga.composite_eval_all;
+        let direct = ga.global_eval_all();
+        let ctx = ga.composite_eval_all();
         prec_gains.push((ctx.precision() / direct.precision() - 1.0) * 100.0);
         row(&[
             s(&format!("App {}", arch.app_number())),

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use kodan::specialize::{tile_features, tile_labels, SpecializedModel};
+use kodan::specialize::{tile_features, tile_labels, ModelScope, SpecializedModel};
 use kodan_cote::constellation::Constellation;
 use kodan_cote::ground::GroundSegment;
 use kodan_cote::orbit::Orbit;
@@ -71,9 +71,10 @@ fn bench_features_and_inference(c: &mut Criterion) {
         b.iter(|| tile_features(black_box(&direct_tiles[0]), 22))
     });
 
-    let model = SpecializedModel::train_global(
+    let model = SpecializedModel::train(
         &tiles,
         ModelArch::ResNet50DilatedPpm,
+        ModelScope::Global,
         2_000,
         &TrainConfig::fast(1),
     );

@@ -278,18 +278,18 @@ pub fn transform(options: &Options) -> Result<(), String> {
         println!(
             "  {:>11} {:>10.3} {:>11.3}",
             ga.grid * ga.grid,
-            ga.global_eval_all.accuracy(),
-            ga.global_eval_all.precision()
+            ga.global_eval_all().accuracy(),
+            ga.global_eval_all().precision()
         );
     }
     println!("context-specialized composite at 36 tiles/frame:");
     let ga = artifacts.grid_artifacts(6).map_err(|e| e.to_string())?;
     println!(
         "  accuracy {:.3} -> {:.3}, precision {:.3} -> {:.3}",
-        ga.global_eval_all.accuracy(),
-        ga.composite_eval_all.accuracy(),
-        ga.global_eval_all.precision(),
-        ga.composite_eval_all.precision()
+        ga.global_eval_all().accuracy(),
+        ga.composite_eval_all().accuracy(),
+        ga.global_eval_all().precision(),
+        ga.composite_eval_all().precision()
     );
     if let Some(dir) = &options.save_artifacts {
         save_artifact_set(options, &artifacts, dir)?;

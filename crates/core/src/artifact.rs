@@ -128,10 +128,13 @@ struct Bundle {
     grids: Vec<GridSkeleton>,
 }
 
-/// A [`GridArtifacts`] with the models factored out: which context
-/// slots are populated and each merged slot's scope (kept here so a
-/// corrupted blob can be replaced scope-intact), which together give
-/// the table's slot scopes, and the validation statistics.
+/// A [`GridArtifacts`] with the models factored out, in the bundle's wire
+/// layout: which context slots are populated and each merged slot's
+/// scope (kept here so a corrupted blob can be replaced scope-intact),
+/// which together give the table's slot scopes, then the validation
+/// table split by scope (the global row, each context model's own entry,
+/// the merged rows) and its two sums. No other code knows this layout:
+/// save derives it from the grid's tables and load rebuilds them from it.
 struct GridSkeleton {
     grid: usize,
     context_present: Vec<bool>,
@@ -147,32 +150,40 @@ struct GridSkeleton {
 
 impl GridSkeleton {
     /// The skeleton of a grid with `k` contexts. The skeleton records
-    /// which slots exist, not where, so the table must be in slot order
-    /// to load back as saved.
+    /// which slots exist, not where, so the model table must be in slot
+    /// order, and the validation table hold nothing the layout drops, to
+    /// load back as saved.
     fn of(ga: &GridArtifacts, k: usize) -> Result<GridSkeleton, WireError> {
+        let (merged_scopes, merged_eval) = ga
+            .models
+            .iter()
+            .zip(&ga.evals)
+            .filter_map(|(m, row)| match m.scope() {
+                ModelScope::Multi(cs) => Some((cs.clone(), row.clone())),
+                _ => None,
+            })
+            .unzip();
         let skeleton = GridSkeleton {
             grid: ga.grid,
             context_present: (0..k)
                 .map(|c| ga.context_model(ContextId(c)).is_some())
                 .collect(),
-            merged_scopes: ga
-                .models
-                .iter()
-                .filter_map(|m| match m.scope() {
-                    ModelScope::Multi(cs) => Some(cs.clone()),
-                    _ => None,
-                })
-                .collect(),
-            global_eval_per_context: ga.global_eval_per_context.clone(),
-            context_model_eval: ga.context_model_eval.clone(),
+            merged_scopes,
+            global_eval_per_context: (0..k).map(|c| ga.global_eval(c)).collect(),
+            context_model_eval: (0..k).map(|c| ga.own_eval(c)).collect(),
             context_weights: ga.context_weights.clone(),
             context_hv: ga.context_hv.clone(),
-            merged_eval: ga.merged_eval.clone(),
-            global_eval_all: ga.global_eval_all,
-            composite_eval_all: ga.composite_eval_all,
+            merged_eval,
+            global_eval_all: ga.global_eval_all(),
+            composite_eval_all: ga.composite_eval_all(),
         };
         if !ga.models.iter().map(SpecializedModel::scope).eq(&skeleton.slot_scopes()) {
             return Err(WireError::InvalidValue("grid model table is not in slot order"));
+        }
+        if skeleton.evals() != ga.evals {
+            return Err(WireError::InvalidValue(
+                "grid validation table is not in slot layout",
+            ));
         }
         Ok(skeleton)
     }
@@ -194,6 +205,27 @@ impl GridSkeleton {
             .collect()
     }
 
+    /// The validation table, one row per slot in slot order.
+    fn evals(&self) -> Vec<Vec<Option<ConfusionMatrix>>> {
+        let k = self.context_present.len();
+        let global = self
+            .global_eval_per_context
+            .iter()
+            .copied()
+            .map(Some)
+            .collect();
+        let contexts = self
+            .context_model_eval
+            .iter()
+            .enumerate()
+            .filter(|&(c, _)| self.context_present.get(c) == Some(&true))
+            .map(|(c, eval)| (0..k).map(|other| eval.filter(|_| other == c)).collect());
+        std::iter::once(global)
+            .chain(contexts)
+            .chain(self.merged_eval.iter().cloned())
+            .collect()
+    }
+
     /// Checks internal shape consistency against a context count.
     fn validate(&self, k: usize) -> Result<(), WireError> {
         let per_context_ok = self.context_present.len() == k
@@ -207,6 +239,26 @@ impl GridSkeleton {
             return Err(WireError::InvalidValue("grid skeleton shape mismatch"));
         }
         Ok(())
+    }
+
+    /// The grid around its loaded model table, with the validation table
+    /// rebuilt; refuses stored sums that disagree with the table's.
+    fn into_grid(self, models: Vec<SpecializedModel>) -> Result<GridArtifacts, WireError> {
+        let ga = GridArtifacts {
+            grid: self.grid,
+            models,
+            evals: self.evals(),
+            context_weights: self.context_weights,
+            context_hv: self.context_hv,
+        };
+        if ga.global_eval_all() != self.global_eval_all
+            || ga.composite_eval_all() != self.composite_eval_all
+        {
+            return Err(WireError::InvalidValue(
+                "grid validation sums disagree with the table",
+            ));
+        }
+        Ok(ga)
     }
 }
 
@@ -467,7 +519,7 @@ pub fn load_artifacts(
     let mut quantized_attached = 0usize;
     let mut degraded_quantized: Vec<String> = Vec::new();
     let mut grids = Vec::with_capacity(bundle.grids.len());
-    for skeleton in &bundle.grids {
+    for skeleton in bundle.grids {
         let grid = skeleton.grid;
         let scopes = skeleton.slot_scopes();
         let mut models: Vec<SpecializedModel> = Vec::with_capacity(scopes.len());
@@ -509,17 +561,7 @@ pub fn load_artifacts(
             models.push(model);
         }
 
-        grids.push(GridArtifacts {
-            grid,
-            models,
-            global_eval_per_context: skeleton.global_eval_per_context.clone(),
-            context_model_eval: skeleton.context_model_eval.clone(),
-            context_weights: skeleton.context_weights.clone(),
-            context_hv: skeleton.context_hv.clone(),
-            merged_eval: skeleton.merged_eval.clone(),
-            global_eval_all: skeleton.global_eval_all,
-            composite_eval_all: skeleton.composite_eval_all,
-        });
+        grids.push(skeleton.into_grid(models)?);
     }
 
     let artifacts = TransformationArtifacts {
@@ -564,4 +606,86 @@ pub fn load_artifacts(
         degraded_quantized,
         manifest,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::Transformation;
+    use kodan_cote::time::Duration;
+    use kodan_geodata::{Dataset, DatasetConfig, World};
+    use kodan_hw::targets::HwTarget;
+    use kodan_telemetry::NullRecorder;
+
+    fn fixture() -> (TransformationArtifacts, SelectionLogic) {
+        let mut ds_cfg = DatasetConfig::small(1);
+        ds_cfg.frame_count = 10;
+        ds_cfg.frame_px = 132;
+        let dataset = Dataset::sample(&World::new(42), &ds_cfg);
+        let artifacts = Transformation::new(KodanConfig::fast(7))
+            .run(&dataset, ModelArch::MobileNetV2DilatedC1)
+            .expect("transformation succeeds");
+        let selection =
+            artifacts.select_for_target(HwTarget::OrinAgx15W, Duration::from_seconds(22.0));
+        (artifacts, selection)
+    }
+
+    /// Saves the set into a fresh store at `dir`, re-seals its bundle
+    /// with `tamper` applied to every grid skeleton, and loads it back.
+    fn load_tampered(
+        dir: &Path,
+        artifacts: &TransformationArtifacts,
+        selection: &SelectionLogic,
+        tamper: fn(&mut GridSkeleton),
+    ) -> Result<TransformationArtifacts, WireError> {
+        std::fs::remove_dir_all(dir).ok();
+        save_artifacts(artifacts, selection, dir, &mut NullRecorder).expect("save succeeds");
+        let store = ArtifactStore::open(dir).expect("store opens");
+        let mut manifest = store.manifest().expect("manifest reads");
+        let payload = read_payload(&store, &manifest, "bundle", KIND_BUNDLE).expect("bundle reads");
+        let mut bundle = Bundle::from_wire(&payload).expect("bundle decodes");
+        bundle.grids.iter_mut().for_each(tamper);
+        let sealed = envelope::seal(KIND_BUNDLE, &bundle.to_wire());
+        let entry = store.put("bundle", &sealed).expect("bundle stores");
+        for e in manifest.entries.iter_mut().filter(|e| e.name == "bundle") {
+            *e = entry.clone();
+        }
+        store.write_manifest(&manifest).expect("manifest writes");
+        load_artifacts(dir, &mut NullRecorder).map(|loaded| loaded.artifacts)
+    }
+
+    #[test]
+    fn load_refuses_stored_sums_that_disagree_with_the_table() {
+        let (artifacts, selection) = fixture();
+        let dir = std::env::temp_dir().join("kodan-artifact-sums");
+        // Re-sealed untouched, the bundle loads back exactly.
+        let reloaded = load_tampered(&dir, &artifacts, &selection, |_| {});
+        assert_eq!(reloaded, Ok(artifacts.clone()));
+        let refused = Err(WireError::InvalidValue(
+            "grid validation sums disagree with the table",
+        ));
+        let global = load_tampered(&dir, &artifacts, &selection, |g| g.global_eval_all.tp += 1);
+        assert_eq!(global, refused);
+        let composite = load_tampered(&dir, &artifacts, &selection, |g| {
+            g.composite_eval_all.fn_ += 1
+        });
+        assert_eq!(composite, refused);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_refuses_a_validation_table_the_bundle_cannot_carry() {
+        let (mut artifacts, selection) = fixture();
+        // The bundle stores the global row as plain matrices: it is total.
+        artifacts.grids[0].evals[0][0] = None;
+        let dir = std::env::temp_dir().join("kodan-artifact-layout");
+        let saved = save_artifacts(&artifacts, &selection, &dir, &mut NullRecorder);
+        assert_eq!(
+            saved.map(|report| report.total_bytes),
+            Err(WireError::InvalidValue(
+                "grid validation table is not in slot layout"
+            ))
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -6,15 +6,19 @@
 //!
 //! 1. a partition of the dataset into geospatial **contexts**,
 //! 2. a **context engine** that classifies observed tiles into contexts,
-//! 3. **specialized models** (plus the global reference model) trained
-//!    and validated per tile grid,
-//! 4. per-grid, per-context **validation statistics** from which the
+//! 3. per tile grid, a **model table**: the global reference model and
+//!    the context-specialized models, one slot each, trained from one
+//!    slot-ordered task list,
+//! 4. per tile grid, one **validation table** `evals[slot][context]`
+//!    parallel to the model table, from which the
 //!    [`crate::selection::SelectionLogic`] for any hardware target can
 //!    be derived.
 //!
 //! The artifacts are target-independent; deriving a selection logic for a
 //! target is cheap and can be repeated for every platform (the paper
-//! deploys the same seven applications to three targets).
+//! deploys the same seven applications to three targets). Only the
+//! artifact store's bundle skeleton maps the validation table to the
+//! bundle's scope-keyed wire layout.
 
 use crate::config::{ContextGenerationKind, KodanConfig};
 use crate::context::{ContextId, ContextSet};
@@ -33,13 +37,14 @@ use kodan_telemetry::{CounterId, NullRecorder, Recorder, StageId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Minimum training tiles required to specialize a model to a context;
 /// below this the context falls back to the global model.
 const MIN_CONTEXT_TILES: usize = 5;
 
-/// Per-tile-grid artifacts: the grid's model table and validation
-/// statistics.
+/// Per-tile-grid artifacts: the grid's model table and its validation
+/// table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GridArtifacts {
     /// Grid dimension (tiles per frame = `grid * grid`).
@@ -54,28 +59,19 @@ pub struct GridArtifacts {
     /// this table, the artifact store saves and loads it slot by slot,
     /// and the runtime's fault fallback is its slot 0.
     pub models: Vec<SpecializedModel>,
-    /// Validation confusion of the global model restricted to each
-    /// engine-assigned context.
-    pub global_eval_per_context: Vec<ConfusionMatrix>,
-    /// Validation confusion of each context's own model on its
-    /// engine-assigned tiles (None when the context has no model or no
-    /// tiles).
-    pub context_model_eval: Vec<Option<ConfusionMatrix>>,
+    /// The validation table, parallel to `models`: `evals[slot][c]` is
+    /// the slot's validation confusion on the tiles the engine assigns
+    /// to context `c`. The global row (slot 0) is total, an empty
+    /// context holding the zero matrix; every other entry is `Some`
+    /// exactly where the slot's scope covers a context with validation
+    /// tiles. Selection offers each context every slot its column
+    /// holds; the artifact store's bundle skeleton alone maps the table
+    /// to and from the bundle's wire layout.
+    pub evals: Vec<Vec<Option<ConfusionMatrix>>>,
     /// Fraction of validation tiles the engine assigns to each context.
     pub context_weights: Vec<f64>,
     /// Mean high-value pixel fraction of each context's validation tiles.
     pub context_hv: Vec<f64>,
-    /// `merged_eval[m][c]`: validation confusion of the `m`-th merged
-    /// model in the table on context `c`'s engine-assigned tiles (None
-    /// where not covered or no tiles).
-    pub merged_eval: Vec<Vec<Option<ConfusionMatrix>>>,
-    /// Validation confusion of the global model over all tiles (the
-    /// direct-deploy statistic, and Figure 13's tiling data).
-    pub global_eval_all: ConfusionMatrix,
-    /// Validation confusion of the context-specialized composite: each
-    /// tile routed by the engine to its context model (global fallback).
-    /// This is Figure 12's "geospatial contexts" statistic.
-    pub composite_eval_all: ConfusionMatrix,
 }
 
 impl GridArtifacts {
@@ -85,6 +81,45 @@ impl GridArtifacts {
         self.models
             .iter()
             .find(|m| *m.scope() == ModelScope::Context(context))
+    }
+
+    /// `evals[slot][context]`: `None` where the slot's scope does not
+    /// cover the context, the context has no validation tiles, or either
+    /// index is outside the table.
+    pub fn eval(&self, slot: usize, context: usize) -> Option<ConfusionMatrix> {
+        self.evals.get(slot)?.get(context).copied().flatten()
+    }
+
+    /// Validation confusion of the global model (slot 0) on `context`'s
+    /// tiles: the zero matrix for a context without validation tiles.
+    pub fn global_eval(&self, context: usize) -> ConfusionMatrix {
+        self.eval(0, context).unwrap_or_default()
+    }
+
+    /// Validation confusion of `context`'s single-context model on the
+    /// context's tiles, if it has a model and validation tiles.
+    pub(crate) fn own_eval(&self, context: usize) -> Option<ConfusionMatrix> {
+        let own = ModelScope::Context(ContextId(context));
+        let slot = self.models.iter().position(|m| *m.scope() == own)?;
+        self.eval(slot, context)
+    }
+
+    /// Validation confusion of the global model over all tiles (the
+    /// direct-deploy statistic, and Figure 13's tiling data).
+    pub fn global_eval_all(&self) -> ConfusionMatrix {
+        (0..self.context_weights.len())
+            .map(|c| self.global_eval(c))
+            .sum()
+    }
+
+    /// Validation confusion of the context-specialized composite: each
+    /// context routed to its own model where that has statistics, to the
+    /// global model elsewhere. This is Figure 12's "geospatial contexts"
+    /// statistic.
+    pub fn composite_eval_all(&self) -> ConfusionMatrix {
+        (0..self.context_weights.len())
+            .map(|c| self.own_eval(c).unwrap_or_else(|| self.global_eval(c)))
+            .sum()
     }
 }
 
@@ -290,9 +325,6 @@ impl Transformation {
         }
         let val_tiles = sample_tiles(val.tiles(grid), config.max_eval_tiles, seed);
 
-        let mut train_cfg = config.train;
-        train_cfg.seed = seed;
-
         // Specialized models are trained on *engine-assigned* tile
         // subsets: the runtime routes tiles by the deployed engine, so
         // each specialized model should be trained on exactly the
@@ -307,23 +339,21 @@ impl Transformation {
             }
         }
 
-        // Training is embarrassingly parallel across models: every task's
-        // RNG stream is derived from the grid seed and the task's stable
-        // identity (context id, merged pair), never from worker or
-        // completion order, so the trained weights are bit-identical to a
-        // serial run. The task list is built in table order (global,
-        // contexts ascending, merged pairs in value-profile order) and
-        // results come back index-keyed in that same order, so they *are*
-        // the grid's model table.
-        enum TrainTask<'t> {
-            Global,
-            Context(usize, &'t [TileImage]),
-            Merged(usize, usize, Vec<TileImage>),
-        }
-        let mut tasks: Vec<TrainTask<'_>> = vec![TrainTask::Global];
+        // One training task per slot of the model table, in table order
+        // (global, contexts ascending, merged pairs in value-profile
+        // order): the slot's scope, its tiles and its seed. Training is
+        // embarrassingly parallel across tasks: every seed derives from
+        // the grid seed and the slot's scope, never from worker or
+        // completion order, and results come back index-keyed in task
+        // order, so they *are* the grid's model table, bit-identical to a
+        // serial run.
+        let mut tasks: Vec<(ModelScope, Cow<'_, [TileImage]>, u64)> =
+            vec![(ModelScope::Global, Cow::Borrowed(&train_tiles), seed)];
         for (c, subset) in engine_subsets.iter().enumerate() {
             if subset.len() >= MIN_CONTEXT_TILES {
-                tasks.push(TrainTask::Context(c, subset));
+                let scope = ModelScope::Context(ContextId(c));
+                let task_seed = crate::par::stream_seed(seed, c as u64 + 1);
+                tasks.push((scope, Cow::Borrowed(subset), task_seed));
             }
         }
         // Multi-context models: pair contexts with adjacent value
@@ -339,49 +369,34 @@ impl Transformation {
                 [a, b] => (a, b),
                 _ => continue,
             };
-            let mut union: Vec<TileImage> =
-                engine_subsets.get(a).cloned().unwrap_or_default();
-            union.extend(engine_subsets.get(b).into_iter().flatten().cloned());
+            let (Some(tiles_a), Some(tiles_b)) = (engine_subsets.get(a), engine_subsets.get(b))
+            else {
+                continue;
+            };
+            let union = [tiles_a.as_slice(), tiles_b.as_slice()].concat();
             if union.len() >= MIN_CONTEXT_TILES {
-                tasks.push(TrainTask::Merged(a, b, union));
+                let scope = ModelScope::Multi(vec![ContextId(a), ContextId(b)]);
+                let task_seed = crate::par::stream_seed(seed, 1000 + a as u64 * 31 + b as u64);
+                tasks.push((scope, Cow::Owned(union), task_seed));
             }
         }
 
         let workers = resolve_workers(config.workers);
-        let models = par_map_indexed(workers, &tasks, |_, task| match task {
-            TrainTask::Global => SpecializedModel::train_global(
-                &train_tiles,
+        let models = par_map_indexed(workers, &tasks, |_, (scope, tiles, task_seed)| {
+            let mut train_cfg = config.train;
+            train_cfg.seed = *task_seed;
+            SpecializedModel::train(
+                tiles,
                 arch,
+                scope.clone(),
                 config.max_train_pixels,
                 &train_cfg,
-            ),
-            TrainTask::Context(c, subset) => {
-                let mut cfg = train_cfg;
-                cfg.seed = crate::par::stream_seed(seed, *c as u64 + 1);
-                SpecializedModel::train_for_context(
-                    subset,
-                    arch,
-                    ContextId(*c),
-                    config.max_train_pixels,
-                    &cfg,
-                )
-            }
-            TrainTask::Merged(a, b, union) => {
-                let mut cfg = train_cfg;
-                cfg.seed = crate::par::stream_seed(seed, 1000 + *a as u64 * 31 + *b as u64);
-                SpecializedModel::train_for_contexts(
-                    union,
-                    arch,
-                    vec![ContextId(*a), ContextId(*b)],
-                    config.max_train_pixels,
-                    &cfg,
-                )
-            }
+            )
         });
 
         let merged = tasks
             .iter()
-            .filter(|t| matches!(t, TrainTask::Merged(..)))
+            .filter(|(scope, ..)| matches!(scope, ModelScope::Multi(_)))
             .count();
         recorder.count(CounterId::ModelsTrained, models.len() as u64);
         recorder.count(CounterId::MergedModelsTrained, merged as u64);
@@ -416,53 +431,31 @@ impl Transformation {
             context_hv.push(hv);
         }
 
-        // Every slot is validated on the non-empty contexts its scope
-        // covers; an empty context evaluates to the zero matrix.
-        let mut global_eval_per_context = vec![ConfusionMatrix::new(); k];
-        let mut context_model_eval: Vec<Option<ConfusionMatrix>> = vec![None; k];
-        let mut merged_eval: Vec<Vec<Option<ConfusionMatrix>>> = Vec::new();
-        for model in &models {
-            let evals: Vec<Option<ConfusionMatrix>> = groups
-                .iter()
-                .enumerate()
-                .map(|(c, group)| {
-                    let covered = model.scope().covers(ContextId(c)) && !group.is_empty();
-                    covered.then(|| model.evaluate(group.iter().copied()))
-                })
-                .collect();
-            match model.scope() {
-                ModelScope::Global => {
-                    global_eval_per_context =
-                        evals.into_iter().map(Option::unwrap_or_default).collect();
-                }
-                ModelScope::Context(c) => {
-                    if let Some(slot) = context_model_eval.get_mut(c.0) {
-                        *slot = evals.get(c.0).copied().flatten();
-                    }
-                }
-                ModelScope::Multi(_) => merged_eval.push(evals),
-            }
-        }
-        // The composite routes each context to its own model's tiles, or
-        // to the global model where the context has no model (a context
-        // with a model but no tiles adds the zero matrix either way).
-        let mut global_eval_all = ConfusionMatrix::new();
-        let mut composite_eval_all = ConfusionMatrix::new();
-        for (global_cm, own_cm) in global_eval_per_context.iter().zip(&context_model_eval) {
-            global_eval_all += *global_cm;
-            composite_eval_all += own_cm.unwrap_or(*global_cm);
-        }
+        // Each slot is validated on the contexts its scope covers that have
+        // validation tiles, and the global row on every context (an empty
+        // one evaluates to the zero matrix).
+        let evals = models
+            .iter()
+            .map(|model| {
+                let global = *model.scope() == ModelScope::Global;
+                groups
+                    .iter()
+                    .enumerate()
+                    .map(|(c, group)| {
+                        let covered =
+                            global || (model.scope().covers(ContextId(c)) && !group.is_empty());
+                        covered.then(|| model.evaluate(group.iter().copied()))
+                    })
+                    .collect()
+            })
+            .collect();
 
         GridArtifacts {
             grid,
             models,
-            global_eval_per_context,
-            context_model_eval,
+            evals,
             context_weights,
             context_hv,
-            merged_eval,
-            global_eval_all,
-            composite_eval_all,
         }
     }
 }
@@ -543,17 +536,59 @@ mod tests {
             let weight_sum: f64 = ga.context_weights.iter().sum();
             assert!((weight_sum - 1.0).abs() < 1e-9, "weights sum {weight_sum}");
             assert_eq!(ga.models.first().map(|m| m.scope()), Some(&ModelScope::Global));
-            assert_eq!(ga.global_eval_per_context.len(), a.contexts.len());
+            assert_eq!(ga.evals.first().map(Vec::len), Some(a.contexts.len()));
             for hv in &ga.context_hv {
                 assert!((0.0..=1.0).contains(hv));
             }
             // Per-context evals sum to the overall eval.
             let mut summed = ConfusionMatrix::new();
-            for cm in &ga.global_eval_per_context {
-                summed += *cm;
+            for c in 0..a.contexts.len() {
+                summed += ga.global_eval(c);
             }
-            assert_eq!(summed, ga.global_eval_all);
+            assert_eq!(summed, ga.global_eval_all());
         }
+    }
+
+    #[test]
+    fn every_slot_is_validated_on_exactly_the_contexts_it_covers() {
+        let mut ds_cfg = DatasetConfig::small(1);
+        ds_cfg.frame_count = 10;
+        ds_cfg.frame_px = 132;
+        let mut config = KodanConfig::fast(7);
+        config.generation = crate::config::ContextGenerationKind::Expert;
+        // A small validation sample leaves some contexts without tiles.
+        config.max_eval_tiles = 6;
+        let expert = Transformation::new(config)
+            .run(
+                &Dataset::sample(&World::new(42), &ds_cfg),
+                ModelArch::MobileNetV2DilatedC1,
+            )
+            .expect("transformation succeeds");
+        let mut empty_contexts = 0;
+        for a in [artifacts(), expert] {
+            let k = a.contexts.len();
+            for ga in &a.grids {
+                assert_eq!(ga.evals.len(), ga.models.len(), "grid {}", ga.grid);
+                for (slot, (model, row)) in ga.models.iter().zip(&ga.evals).enumerate() {
+                    assert_eq!(row.len(), k, "grid {} slot {slot}", ga.grid);
+                    for (c, entry) in row.iter().enumerate() {
+                        // A context has validation tiles iff its weight is
+                        // positive; the global row covers every context.
+                        let has_tiles = ga.context_weights[c] > 0.0;
+                        let covered =
+                            slot == 0 || (model.scope().covers(ContextId(c)) && has_tiles);
+                        let at = format!("grid {} slot {slot} ctx {c}", ga.grid);
+                        assert_eq!(entry.is_some(), covered, "{at}");
+                        if let Some(cm) = entry {
+                            assert_eq!(cm.total() > 0, has_tiles, "{at}");
+                        }
+                        empty_contexts += usize::from(slot == 0 && !has_tiles);
+                    }
+                }
+            }
+        }
+        // The fixtures exercise the zero-matrix rule of the global row.
+        assert!(empty_contexts > 0);
     }
 
     #[test]
@@ -561,10 +596,10 @@ mod tests {
         let a = artifacts();
         for ga in &a.grids {
             assert!(
-                ga.global_eval_all.accuracy() > 0.6,
+                ga.global_eval_all().accuracy() > 0.6,
                 "grid {}: accuracy {}",
                 ga.grid,
-                ga.global_eval_all.accuracy()
+                ga.global_eval_all().accuracy()
             );
         }
     }

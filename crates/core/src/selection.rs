@@ -17,7 +17,7 @@
 use crate::dvd::processed_fraction;
 use crate::elide::{Action, ActionOutcome};
 use crate::pipeline::{GridArtifacts, TransformationArtifacts};
-use crate::specialize::{ModelScope, SpecializedModel};
+use crate::specialize::SpecializedModel;
 use kodan_cote::time::Duration;
 use kodan_hw::latency::LatencyModel;
 use kodan_hw::targets::HwTarget;
@@ -188,13 +188,14 @@ impl SelectionLogic {
 
             // Per-context action options, filtered by the technique set:
             // the global model (slot 0), the elision actions, then every
-            // specialized slot whose scope covers the context, in slot
-            // order. Option order breaks the optimizer's ties.
+            // specialized slot whose row of the validation table covers
+            // the context, in slot order. Option order breaks the
+            // optimizer's ties.
             let options: Vec<Vec<ActionOutcome>> = (0..k)
                 .map(|c| {
                     let mut opts = vec![ActionOutcome::process(
                         0,
-                        &ga.global_eval_per_context[c],
+                        &ga.global_eval(c),
                         latency.full_model_tile_time(artifacts.arch),
                     )];
                     if techniques.elision {
@@ -206,22 +207,11 @@ impl SelectionLogic {
                         }
                     }
                     if techniques.specialization {
-                        let mut merged_eval = ga.merged_eval.iter();
-                        for (slot, model) in ga.models.iter().enumerate() {
-                            let eval = match model.scope() {
-                                ModelScope::Global => None,
-                                ModelScope::Context(own) if own.0 == c => {
-                                    ga.context_model_eval[c].as_ref()
-                                }
-                                ModelScope::Context(_) => None,
-                                ModelScope::Multi(_) => {
-                                    merged_eval.next().and_then(|evals| evals[c].as_ref())
-                                }
-                            };
-                            if let Some(cm) = eval {
+                        for (slot, model) in ga.models.iter().enumerate().skip(1) {
+                            if let Some(cm) = ga.eval(slot, c) {
                                 opts.push(ActionOutcome::process(
                                     slot,
-                                    cm,
+                                    &cm,
                                     latency.specialized_tile_time(
                                         artifacts.arch,
                                         model.ops_ratio(),
@@ -298,7 +288,7 @@ impl SelectionLogic {
         deadline: Duration,
         capacity_fraction: f64,
     ) -> SelectionLogic {
-        let ga = best_by(&artifacts.grids, |g| g.global_eval_all.precision())
+        let ga = best_by(&artifacts.grids, |g| g.global_eval_all().precision())
             .expect("artifacts contain grids");
         Self::fixed_policy(artifacts, ga, target, deadline, capacity_fraction)
     }
@@ -654,12 +644,7 @@ pub(crate) fn global_model_estimate(
 ) -> SelectionEstimate {
     let tile_time = latency.full_model_tile_time(artifacts.arch);
     let outcomes: Vec<(usize, ActionOutcome)> = (0..artifacts.contexts.len())
-        .map(|c| {
-            (
-                c,
-                ActionOutcome::process(0, &ga.global_eval_per_context[c], tile_time),
-            )
-        })
+        .map(|c| (c, ActionOutcome::process(0, &ga.global_eval(c), tile_time)))
         .collect();
     estimate_policy(
         &outcomes,

@@ -70,59 +70,16 @@ pub struct SpecializedModel {
 }
 
 impl SpecializedModel {
-    /// Trains the full-capacity reference model on (a sample of) all
-    /// tiles. This is what direct deployment runs.
-    pub fn train_global(
-        tiles: &[TileImage],
-        arch: ModelArch,
-        max_train_pixels: usize,
-        config: &TrainConfig,
-    ) -> SpecializedModel {
-        Self::train_scoped(tiles, arch, ModelScope::Global, max_train_pixels, config)
-    }
-
-    /// Trains a reduced-capacity model specialized to one context's
-    /// tiles.
-    pub fn train_for_context(
-        tiles: &[TileImage],
-        arch: ModelArch,
-        context: ContextId,
-        max_train_pixels: usize,
-        config: &TrainConfig,
-    ) -> SpecializedModel {
-        Self::train_scoped(
-            tiles,
-            arch,
-            ModelScope::Context(context),
-            max_train_pixels,
-            config,
-        )
-    }
-
-    /// Trains a reduced-capacity model specialized across several
-    /// contexts' tiles.
+    /// Trains the model of one slot: `scope`'s model on (a sample of)
+    /// `tiles`. The global scope is the full-capacity reference model
+    /// direct deployment runs; context scopes get reduced-capacity models
+    /// specialized to their contexts' tiles.
     ///
     /// # Panics
     ///
-    /// Panics if `contexts` is empty.
-    pub fn train_for_contexts(
-        tiles: &[TileImage],
-        arch: ModelArch,
-        contexts: Vec<ContextId>,
-        max_train_pixels: usize,
-        config: &TrainConfig,
-    ) -> SpecializedModel {
-        assert!(!contexts.is_empty(), "multi-context scope needs contexts");
-        Self::train_scoped(
-            tiles,
-            arch,
-            ModelScope::Multi(contexts),
-            max_train_pixels,
-            config,
-        )
-    }
-
-    fn train_scoped(
+    /// Panics if `tiles` is empty, `max_train_pixels` is zero, or a
+    /// multi-context scope lists no contexts.
+    pub fn train(
         tiles: &[TileImage],
         arch: ModelArch,
         scope: ModelScope,
@@ -131,6 +88,10 @@ impl SpecializedModel {
     ) -> SpecializedModel {
         assert!(!tiles.is_empty(), "training needs tiles");
         assert!(max_train_pixels > 0, "training needs a pixel budget");
+        assert!(
+            !matches!(&scope, ModelScope::Multi(cs) if cs.is_empty()),
+            "multi-context scope needs contexts"
+        );
         let full_hidden = arch.hidden_units();
         let hidden = match &scope {
             ModelScope::Global => full_hidden,
@@ -216,7 +177,6 @@ impl SpecializedModel {
     /// classifier's, so a stale or mispaired quantized blob can never
     /// silently fly against the wrong reference weights.
     pub fn attach_quantized(&mut self, quantized: QuantizedMlp) -> bool {
-        use kodan_ml::PixelClassifier;
         if quantized.source_checksum() != self.classifier.weight_checksum()
             || quantized.input_dim() != self.classifier.input_dim()
         {
@@ -243,7 +203,7 @@ impl SpecializedModel {
         // each FEATURE_DIM-strided row — the same slices the per-pixel
         // path passed — and decide from the logit, so each path's mask
         // is bit-identical to thresholding its own probabilities at the
-        // [`PixelClassifier::predict`] threshold of 0.5. The quantized
+        // [`Mlp::predict`] threshold of 0.5. The quantized
         // kernel never touches the sigmoid; the f64 one only for logits
         // just below zero.
         let mut pred_at_r = Vec::new();
@@ -269,11 +229,7 @@ impl SpecializedModel {
     where
         I: IntoIterator<Item = &'a TileImage>,
     {
-        let mut cm = ConfusionMatrix::new();
-        for t in tiles {
-            cm += self.evaluate_tile(t);
-        }
-        cm
+        tiles.into_iter().map(|t| self.evaluate_tile(t)).sum()
     }
 
     /// Integrity checksum over every weight table this model would
@@ -389,7 +345,6 @@ impl kodan_wire::Encode for SpecializedModel {
 
 impl kodan_wire::Decode for SpecializedModel {
     fn decode(dec: &mut kodan_wire::Dec<'_>) -> Result<Self, kodan_wire::WireError> {
-        use kodan_ml::PixelClassifier;
         let arch = ModelArch::decode(dec)?;
         let scope = ModelScope::decode(dec)?;
         let classifier = Mlp::decode(dec)?;
@@ -520,9 +475,10 @@ mod tests {
     #[test]
     fn global_model_beats_chance_substantially() {
         let tiles = tiles();
-        let model = SpecializedModel::train_global(
+        let model = SpecializedModel::train(
             &tiles,
             ModelArch::ResNet50DilatedPpm,
+            ModelScope::Global,
             2_000,
             &fast_config(),
         );
@@ -537,10 +493,10 @@ mod tests {
     fn specialized_model_is_smaller_and_scoped() {
         let tiles = tiles();
         let ctx = ContextId(0);
-        let model = SpecializedModel::train_for_context(
+        let model = SpecializedModel::train(
             &tiles,
             ModelArch::ResNet101UperNet,
-            ctx,
+            ModelScope::Context(ctx),
             1_000,
             &fast_config(),
         );
@@ -552,9 +508,10 @@ mod tests {
     #[test]
     fn prediction_has_native_resolution() {
         let tiles = tiles();
-        let model = SpecializedModel::train_global(
+        let model = SpecializedModel::train(
             &tiles,
             ModelArch::MobileNetV2DilatedC1,
+            ModelScope::Global,
             1_000,
             &fast_config(),
         );
@@ -565,9 +522,10 @@ mod tests {
     #[test]
     fn evaluation_counts_every_native_pixel() {
         let tiles = tiles();
-        let model = SpecializedModel::train_global(
+        let model = SpecializedModel::train(
             &tiles,
             ModelArch::MobileNetV2DilatedC1,
+            ModelScope::Global,
             1_000,
             &fast_config(),
         );
@@ -578,15 +536,17 @@ mod tests {
     #[test]
     fn training_is_deterministic() {
         let tiles = tiles();
-        let a = SpecializedModel::train_global(
+        let a = SpecializedModel::train(
             &tiles,
             ModelArch::HrNetV2C1,
+            ModelScope::Global,
             1_000,
             &fast_config(),
         );
-        let b = SpecializedModel::train_global(
+        let b = SpecializedModel::train(
             &tiles,
             ModelArch::HrNetV2C1,
+            ModelScope::Global,
             1_000,
             &fast_config(),
         );
@@ -596,9 +556,10 @@ mod tests {
     #[test]
     fn quantized_path_attaches_and_tracks_the_reference() {
         let tiles = tiles();
-        let mut model = SpecializedModel::train_global(
+        let mut model = SpecializedModel::train(
             &tiles,
             ModelArch::ResNet50DilatedPpm,
+            ModelScope::Global,
             2_000,
             &fast_config(),
         );
@@ -633,17 +594,19 @@ mod tests {
     #[test]
     fn mispaired_quantized_blob_is_refused() {
         let tiles = tiles();
-        let mut a = SpecializedModel::train_global(
+        let mut a = SpecializedModel::train(
             &tiles,
             ModelArch::HrNetV2C1,
+            ModelScope::Global,
             1_000,
             &fast_config(),
         );
         let mut other_config = fast_config();
         other_config.seed = 99;
-        let b = SpecializedModel::train_global(
+        let b = SpecializedModel::train(
             &tiles,
             ModelArch::HrNetV2C1,
+            ModelScope::Global,
             1_000,
             &other_config,
         );
@@ -655,9 +618,10 @@ mod tests {
     #[test]
     fn fault_injection_reaches_the_quantized_tables() {
         let tiles = tiles();
-        let mut model = SpecializedModel::train_global(
+        let mut model = SpecializedModel::train(
             &tiles,
             ModelArch::MobileNetV2DilatedC1,
+            ModelScope::Global,
             1_000,
             &fast_config(),
         );

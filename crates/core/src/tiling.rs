@@ -50,8 +50,8 @@ pub fn tiling_sweep(
             TilingPoint {
                 grid: ga.grid,
                 tiles_per_frame: ga.grid * ga.grid,
-                accuracy: ga.global_eval_all.accuracy(),
-                precision: ga.global_eval_all.precision(),
+                accuracy: ga.global_eval_all().accuracy(),
+                precision: ga.global_eval_all().precision(),
                 frame_time: estimate.frame_time,
                 estimate,
             }

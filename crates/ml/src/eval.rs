@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::iter::Sum;
 use std::ops::AddAssign;
 
 /// Binary confusion counts.
@@ -135,6 +136,16 @@ impl AddAssign for ConfusionMatrix {
         self.fp += rhs.fp;
         self.tn += rhs.tn;
         self.fn_ += rhs.fn_;
+    }
+}
+
+impl Sum for ConfusionMatrix {
+    fn sum<I: Iterator<Item = ConfusionMatrix>>(iter: I) -> ConfusionMatrix {
+        let mut total = ConfusionMatrix::new();
+        for cm in iter {
+            total += cm;
+        }
+        total
     }
 }
 

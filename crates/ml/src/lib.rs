@@ -26,7 +26,6 @@
 //! ```
 //! use kodan_ml::mlp::Mlp;
 //! use kodan_ml::train::TrainConfig;
-//! use kodan_ml::PixelClassifier;
 //!
 //! // Learn y = x0 > 0.5 with four hidden units.
 //! let xs: Vec<Vec<f64>> = (0..200).map(|i| vec![(i % 100) as f64 / 100.0]).collect();
@@ -58,21 +57,3 @@ pub use mlp::Mlp;
 pub use quant::QuantizedMlp;
 pub use train::TrainConfig;
 pub use zoo::ModelArch;
-
-/// A binary classifier over fixed-length feature vectors.
-///
-/// [`Mlp`] and its fixed-point form [`QuantizedMlp`] implement this. The
-/// Kodan core holds each specialized model as a concrete `Mlp`, plus an
-/// optional `QuantizedMlp` companion, not as a trait object.
-pub trait PixelClassifier: Send + Sync {
-    /// Probability that the sample is positive (high-value / clear).
-    fn predict_proba(&self, features: &[f64]) -> f64;
-
-    /// Number of input features this classifier expects.
-    fn input_dim(&self) -> usize;
-
-    /// Hard decision at the 0.5 threshold.
-    fn predict(&self, features: &[f64]) -> bool {
-        self.predict_proba(features) >= 0.5
-    }
-}

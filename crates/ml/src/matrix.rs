@@ -138,46 +138,6 @@ impl Matrix {
         }
     }
 
-    /// Matrix-matrix product, cache-blocked.
-    ///
-    /// The right operand is transposed once up front so every dot product
-    /// walks two contiguous slices, and the output is computed in
-    /// `MATMUL_BLOCK`-square tiles so the touched rows of both operands
-    /// stay cache-resident. Each output element still accumulates its
-    /// full `k` dot product in index order, so the result is
-    /// bit-identical to the textbook triple loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.rows`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "inner dimension mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        const MATMUL_BLOCK: usize = 32;
-        let bt = other.transpose();
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i0 in (0..self.rows).step_by(MATMUL_BLOCK) {
-            let i1 = (i0 + MATMUL_BLOCK).min(self.rows);
-            for j0 in (0..other.cols).step_by(MATMUL_BLOCK) {
-                let j1 = (j0 + MATMUL_BLOCK).min(other.cols);
-                for i in i0..i1 {
-                    let lhs_row = self.row(i);
-                    for j in j0..j1 {
-                        out.data[i * other.cols + j] = lhs_row
-                            .iter()
-                            .zip(bt.row(j))
-                            .map(|(a, b)| a * b)
-                            .sum();
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -369,49 +329,6 @@ mod tests {
         let mut out = vec![0.0; 3];
         m.matvec_into(&v, &mut out);
         assert_eq!(out, m.matvec(&v));
-    }
-
-    /// The textbook triple loop the blocked kernel must match bitwise.
-    fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for j in 0..b.cols() {
-                out[(i, j)] = (0..a.cols()).map(|k| a[(i, k)] * b[(k, j)]).sum();
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn blocked_matmul_matches_naive_bitwise() {
-        // Dimensions straddle the 32-wide block boundary on every axis.
-        let mk = |rows: usize, cols: usize, salt: f64| {
-            let data: Vec<f64> = (0..rows * cols)
-                .map(|i| ((i as f64) * 0.37 + salt).sin())
-                .collect();
-            Matrix::from_flat(rows, cols, data)
-        };
-        for (r, k, c) in [(3, 4, 5), (32, 32, 32), (33, 31, 50), (70, 5, 33)] {
-            let a = mk(r, k, 0.1);
-            let b = mk(k, c, 2.7);
-            assert_eq!(a.matmul(&b), naive_matmul(&a, &b), "{r}x{k}x{c}");
-        }
-    }
-
-    #[test]
-    fn matmul_identity_is_identity() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let mut eye = Matrix::zeros(3, 3);
-        for i in 0..3 {
-            eye[(i, i)] = 1.0;
-        }
-        assert_eq!(m.matmul(&eye), m);
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimension mismatch")]
-    fn rejects_bad_matmul_shapes() {
-        let _ = Matrix::zeros(2, 3).matmul(&Matrix::zeros(4, 2));
     }
 
     #[test]

@@ -40,7 +40,6 @@
 use crate::matrix::Matrix;
 use crate::optimizer::Optimizer;
 use crate::train::{bce_loss, sigmoid, TrainConfig};
-use crate::PixelClassifier;
 use kodan_wire::{Dec, Decode, Enc, Encode, WireError};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -55,7 +54,7 @@ const BLOCK: usize = 8;
 /// [`logit_mask`]).
 const MASK_BAND: f64 = 1e-9;
 
-/// `sigmoid(z) >= 0.5`, the [`PixelClassifier::predict`] threshold,
+/// `sigmoid(z) >= 0.5`, the [`Mlp::predict`] threshold,
 /// with the sigmoid evaluated only for `z` in `[-MASK_BAND, 0)` or NaN.
 /// The proof assumes only that libm's `exp` is faithfully rounded.
 ///
@@ -126,7 +125,6 @@ fn hidden_layer(dim: usize, w1: &[f64], b1: &[f64], xt: &[f64], z: &mut [f64]) {
 /// ```
 /// use kodan_ml::mlp::Mlp;
 /// use kodan_ml::train::TrainConfig;
-/// use kodan_ml::PixelClassifier;
 ///
 /// // XOR-ish: not linearly separable.
 /// let xs = vec![
@@ -324,7 +322,7 @@ impl Mlp {
     /// row are read) and fills `out` with the probabilities. Rows run
     /// through the blocked kernel eight at a time, with one staging
     /// buffer for the whole call. Results are bit-identical to calling
-    /// [`PixelClassifier::predict_proba`] row by row.
+    /// [`Mlp::predict_proba`] row by row.
     ///
     /// # Panics
     ///
@@ -424,6 +422,36 @@ impl Mlp {
         }
     }
 
+    /// Probability that one sample is positive (high-value / clear).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len()` is not [`Mlp::input_dim`].
+    pub fn predict_proba(&self, features: &[f64]) -> f64 {
+        assert_eq!(features.len(), self.input_dim, "dimension mismatch");
+        let mut p = f64::NAN;
+        self.predict_logits(features, self.input_dim, |logits| {
+            if let [z] = logits {
+                p = sigmoid(*z);
+            }
+        });
+        p
+    }
+
+    /// Hard decision at the 0.5 threshold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len()` is not [`Mlp::input_dim`].
+    pub fn predict(&self, features: &[f64]) -> bool {
+        self.predict_proba(features) >= 0.5
+    }
+
+    /// Number of input features.
+    pub fn input_dim(&self) -> usize {
+        self.input_dim
+    }
+
     /// Number of hidden units.
     pub fn hidden_units(&self) -> usize {
         self.hidden
@@ -516,23 +544,6 @@ impl Mlp {
         } else {
             flip(&mut self.b2);
         }
-    }
-}
-
-impl PixelClassifier for Mlp {
-    fn predict_proba(&self, features: &[f64]) -> f64 {
-        assert_eq!(features.len(), self.input_dim, "dimension mismatch");
-        let mut p = f64::NAN;
-        self.predict_logits(features, self.input_dim, |logits| {
-            if let [z] = logits {
-                p = sigmoid(*z);
-            }
-        });
-        p
-    }
-
-    fn input_dim(&self) -> usize {
-        self.input_dim
     }
 }
 

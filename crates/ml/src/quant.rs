@@ -70,7 +70,6 @@
 
 use crate::matrix::Matrix;
 use crate::train::sigmoid;
-use crate::PixelClassifier;
 use kodan_wire::{Dec, Decode, Enc, Encode, WireError};
 use serde::{Deserialize, Serialize};
 
@@ -134,9 +133,9 @@ const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
 /// the [`ROUND_MAGIC`] trick is always in range and the endpoints
 /// round to themselves.
 fn quantize_signed(v: f64, shift: u32, clamp: i64) -> i64 {
-    // `v == v` is false only for NaN, which must not reach the bit
-    // trick below (its payload would leak into the mantissa bits).
-    let v = if v == v { v } else { 0.0 };
+    // NaN must not reach the bit trick below (its payload would leak
+    // into the mantissa bits).
+    let v = if v.is_nan() { 0.0 } else { v };
     let scaled = (v * pow2(shift)).clamp(-(clamp as f64), clamp as f64);
     i64::from((scaled + ROUND_MAGIC).to_bits() as i32)
 }
@@ -379,6 +378,19 @@ impl QuantizedMlp {
         self.hidden
     }
 
+    /// Probability that one sample is positive (high-value / clear).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len()` is not [`QuantizedMlp::input_dim`].
+    pub fn predict_proba(&self, features: &[f64]) -> f64 {
+        assert_eq!(features.len(), self.input_dim, "dimension mismatch");
+        let mut xq = vec![0i32; self.input_dim];
+        let mut acc = vec![0i32; self.hidden];
+        quantize_input_into(features, &mut xq);
+        sigmoid(f64::from(self.forward_logit(&xq, &mut acc)) / self.output_scale())
+    }
+
     /// `weight_checksum()` of the f64 model this was quantized from —
     /// the pairing tag artifact loading verifies before attaching this
     /// model to its reference copy.
@@ -499,7 +511,7 @@ impl QuantizedMlp {
         // branch-free and vectorizes.
         let clamp_f = f64::from(INPUT_CLAMP);
         let quantize_lane = |v: f64| -> i16 {
-            let v = if v == v { v } else { 0.0 };
+            let v = if v.is_nan() { 0.0 } else { v };
             let scaled = (v * pow2(INPUT_SHIFT)).clamp(-clamp_f, clamp_f);
             (scaled + ROUND_MAGIC).to_bits() as i32 as i16
         };
@@ -620,7 +632,7 @@ impl QuantizedMlp {
     /// `input_dim` features of each row are read) and fills `out` with
     /// probabilities, running the blocked integer kernel across the
     /// batch. Results are bit-identical to calling
-    /// [`PixelClassifier::predict_proba`] row by row.
+    /// [`QuantizedMlp::predict_proba`] row by row.
     ///
     /// # Panics
     ///
@@ -710,20 +722,6 @@ impl QuantizedMlp {
         } else {
             self.b2 = (self.b2 as u32 ^ (1u32 << (bit % 32))) as i32;
         }
-    }
-}
-
-impl PixelClassifier for QuantizedMlp {
-    fn predict_proba(&self, features: &[f64]) -> f64 {
-        assert_eq!(features.len(), self.input_dim, "dimension mismatch");
-        let mut xq = vec![0i32; self.input_dim];
-        let mut acc = vec![0i32; self.hidden];
-        quantize_input_into(features, &mut xq);
-        sigmoid(f64::from(self.forward_logit(&xq, &mut acc)) / self.output_scale())
-    }
-
-    fn input_dim(&self) -> usize {
-        self.input_dim
     }
 }
 

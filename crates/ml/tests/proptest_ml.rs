@@ -8,7 +8,6 @@ use kodan_ml::metrics::DistanceMetric;
 use kodan_ml::mlp::Mlp;
 use kodan_ml::train::{bce_loss, sigmoid, TrainConfig};
 use kodan_ml::transform::TransformKind;
-use kodan_ml::PixelClassifier;
 use proptest::prelude::*;
 
 fn vec_strategy(dim: usize) -> impl Strategy<Value = Vec<f64>> {

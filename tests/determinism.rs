@@ -1204,7 +1204,7 @@ fn prediction_path_matches_pinned_bits() {
     // zoo input resolution (the 2x and fractional area averages, the
     // copy and bilinear upscales), and classified by an f64 model and
     // its quantized copy of every architecture.
-    use kodan::specialize::{tile_features, SpecializedModel};
+    use kodan::specialize::{tile_features, ModelScope, SpecializedModel};
     use kodan_geodata::tile::tile_frame;
     use kodan_ml::train::TrainConfig;
 
@@ -1245,7 +1245,8 @@ fn prediction_path_matches_pinned_bits() {
     }
     let train: Vec<_> = tiles.iter().filter(|t| t.size() == 33).cloned().collect();
     for arch in ModelArch::ALL {
-        let model = SpecializedModel::train_global(&train, arch, 2_000, &TrainConfig::fast(7));
+        let model =
+            SpecializedModel::train(&train, arch, ModelScope::Global, 2_000, &TrainConfig::fast(7));
         let mut quantized = model.clone();
         quantized.quantize_in_place();
         for tile in &tiles {
