@@ -66,9 +66,11 @@ FLAGS:
   --workers N    worker threads (0 = auto; outputs are
                  identical for any worker count)          [0]
   --faults P     inject faults from `key = value` plan file P
-                 (mission only; see kodan-faults)
+                 (mission, trace, and health unless --snapshot
+                 is given; see kodan-faults)
   --fault-seed N inject the built-in nominal fault plan with
-                 seed N (ignored when --faults is given)
+                 seed N on the same commands (ignored when
+                 --faults is given)
   --save-artifacts D  after transform, seal the deployable set
                  (config, contexts, engine, models, selection)
                  into directory D for the modeled uplink

@@ -332,8 +332,9 @@ impl<'a> Mission<'a> {
 
     /// Builds the planner's view of each sampled frame: the unplanned
     /// runtime's per-frame outcome (compute time and downlink volume if
-    /// the frame were processed on orbit) plus the raw per-tile pixel
-    /// and clear-pixel counts the raw-fill rule ranks by.
+    /// the frame were processed on orbit) plus each tile's pixel and
+    /// clear-pixel counts, in the grid's tile order, which the raw-fill
+    /// rule ranks by.
     ///
     /// `runtime` should be the *unplanned* runtime — an installed plan
     /// would fold its own placements into the estimates it is supposed
@@ -351,14 +352,9 @@ impl<'a> Mission<'a> {
                 let tiles = tile_frame(frame, runtime.logic().grid());
                 let tile_estimates = tiles
                     .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
+                    .map(|t| {
                         let (px, clear_px) = tile_pixel_tally(t);
-                        TileEstimate {
-                            index: i as u32,
-                            px,
-                            clear_px,
-                        }
+                        TileEstimate { px, clear_px }
                     })
                     .collect();
                 FrameEstimate {

@@ -13,13 +13,18 @@
 //!   used to guess;
 //! - **contact** — the per-pass downlink budgets of the
 //!   [`ContactSchedule`] ([`plan::contact`](crate::plan::contact)),
-//!   including deferral to a later pass bounded by on-board storage
-//!   occupancy (modeled with the real [`DownlinkQueue`]).
+//!   including deferral to a later pass bounded by on-board storage.
+//!   Storage is one occupancy count: a deferral adds its tiles' pixels,
+//!   and each pass, when it fires, releases the pixels deferred to it.
+//!   Tile sizes are integer pixel counts, so the count is exact.
 //!
 //! The output [`DayPlan`] is a pure function of the deterministic
 //! per-frame estimates, computed serially in frame-index order, so a
 //! planned mission is byte-identical at any worker count: workers only
-//! *execute* the plan, they never change it.
+//! *execute* the plan, they never change it. Every placement commits
+//! through one window state, by processing the frame on orbit or by
+//! shipping its tiles raw; each commit spends energy and heat, charges a
+//! contact pass and counts the [`PlacementLedger`].
 //!
 //! Planning happens in two passes. Pass one dry-runs the runtime to
 //! collect a [`FrameEstimate`] per frame (compute seconds, downlink
@@ -35,13 +40,13 @@
 pub mod contact;
 pub mod thermal;
 
-use crate::queue::{DownlinkQueue, QueueEntry};
 use contact::ContactSchedule;
 use kodan_cote::time::Duration;
 use kodan_hw::latency::LatencyModel;
 use kodan_hw::power::EnergyBudget;
 use kodan_hw::targets::HwTarget;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use thermal::{ThermalConfig, ThermalState};
 
 /// Which decision rule the planner applies.
@@ -105,14 +110,13 @@ impl PlanConfig {
 }
 
 /// Raw per-tile facts the planner ranks tiles by: size and the clear
-/// (non-cloud) pixels of the tile's ground-truth cloud mask.
+/// (non-cloud) pixels of the tile's ground-truth cloud mask. Its tile
+/// is its position in [`FrameEstimate::tiles`].
 /// `Mission::estimate_frames` fills them from each tile's
 /// `TileImage::cloud_fraction`, not from anything observable on board
 /// (see the ROADMAP item "Plan only on what the satellite can see").
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TileEstimate {
-    /// Tile index within its frame's grid.
-    pub index: u32,
     /// Tile size, pixels.
     pub px: u64,
     /// Clear (high-value) pixels in the tile.
@@ -120,7 +124,7 @@ pub struct TileEstimate {
 }
 
 /// Everything the planner knows about one frame before placing it: the
-/// dry-run Kodan outcome plus each tile's [`TileEstimate`].
+/// dry-run Kodan outcome plus one [`TileEstimate`] per tile.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FrameEstimate {
     /// Modeled seconds the full Kodan pipeline spends on the frame.
@@ -129,7 +133,8 @@ pub struct FrameEstimate {
     pub sent_px: u64,
     /// Total pixels in the frame.
     pub observed_px: u64,
-    /// Per-tile raw facts, any order (the planner canonicalizes).
+    /// Per-tile raw facts, by position: `tiles[k]` is tile `k` of the
+    /// frame's grid.
     pub tiles: Vec<TileEstimate>,
 }
 
@@ -144,30 +149,17 @@ pub enum Placement {
         throttle: f64,
     },
     /// Skip inference; downlink the listed raw tiles at the frame's own
-    /// contact pass for ground processing. Tile indices are sorted.
+    /// contact pass for ground processing.
     DownlinkRaw {
-        /// Serving pass.
-        pass: u32,
-        /// Sorted tile indices to ship raw.
+        /// Indices of the tiles to ship raw, strictly increasing.
         tiles: Vec<u32>,
     },
     /// Like `DownlinkRaw`, but the tiles wait in on-board storage for a
     /// later pass with spare capacity.
     Defer {
-        /// Serving (later) pass.
-        pass: u32,
-        /// Sorted tile indices to ship raw.
+        /// Indices of the tiles to ship raw, strictly increasing.
         tiles: Vec<u32>,
     },
-}
-
-/// One frame's placement decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FramePlan {
-    /// Frame index in mission capture order.
-    pub frame_index: u64,
-    /// The chosen placement.
-    pub placement: Placement,
 }
 
 /// Aggregate accounting of a planning run: per-class counts plus the
@@ -226,18 +218,12 @@ impl PlacementLedger {
             0.0
         }
     }
-
-    /// Kelvin of margin between the peak temperature and the throttle
-    /// onset (negative when the plan ran hot).
-    pub fn thermal_headroom_k(&self) -> f64 {
-        self.throttle_onset_k - self.peak_temperature_k
-    }
 }
 
 /// A full day's placements plus the ledger that justified them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DayPlan {
-    frames: Vec<FramePlan>,
+    frames: Vec<Placement>,
     /// Aggregate accounting of the planning run.
     pub ledger: PlacementLedger,
 }
@@ -247,12 +233,11 @@ impl DayPlan {
     /// or `None` past the planned window (unplanned frames process
     /// on-orbit at full speed).
     pub fn placement(&self, frame_index: u64) -> Option<&Placement> {
-        let idx = usize::try_from(frame_index).ok()?;
-        self.frames.get(idx).map(|f| &f.placement)
+        self.frames.get(usize::try_from(frame_index).ok()?)
     }
 
-    /// All placements, in frame order.
-    pub fn frames(&self) -> &[FramePlan] {
+    /// All placements, by position: `frames()[i]` places frame `i`.
+    pub fn frames(&self) -> &[Placement] {
         &self.frames
     }
 }
@@ -265,6 +250,128 @@ const RAW_FILL_BOOST: f64 = 1.25;
 /// A pass must have at least this fraction of a fair share spare before
 /// a frame defers into it; scraps below that are not worth the storage.
 const DEFER_WORTHWHILE_FRACTION: f64 = 0.5;
+
+/// What one frame costs under each commit, priced when the frame is
+/// captured.
+struct FrameCosts {
+    /// The pass that serves the frame's capture.
+    pass: usize,
+    /// Joules of the full Kodan pipeline.
+    work_j: f64,
+    /// Joules of the context-engine scan a raw frame still runs.
+    scan_j: f64,
+    /// The thermal throttle the frame would run under.
+    throttle: f64,
+    /// Whether the full pipeline fits the energy harvested so far.
+    energy_ok: bool,
+    /// The duty-cycle stretch when it does not fit; 1.0 when it does.
+    stretch: f64,
+    /// Pixels the full pipeline would send.
+    sent_px: f64,
+    /// Tiles in the frame.
+    tiles: u64,
+}
+
+/// The planning window's state. Only its two commits change it,
+/// [`Window::process_on_orbit`] and [`Window::ship_raw`], apart from
+/// the passes that fire as frames are entered.
+struct Window {
+    thermal: ThermalConfig,
+    period_s: f64,
+    schedule: ContactSchedule,
+    heat: ThermalState,
+    /// Pixels of deferred tiles in on-board storage.
+    stored_px: f64,
+    /// Pixels deferred to each pass, released when the pass fires.
+    deferred_to: Vec<f64>,
+    /// Passes fired so far.
+    fired: usize,
+    /// The ledger, counted as placements commit; `energy_used_j` is
+    /// the energy spent so far.
+    ledger: PlacementLedger,
+}
+
+impl Window {
+    fn open(config: &PlanConfig, capacity_px: f64, frames: usize, period_s: f64) -> Window {
+        let schedule = ContactSchedule::evenly(capacity_px, config.contacts, frames);
+        Window {
+            thermal: config.thermal,
+            period_s,
+            deferred_to: vec![0.0; schedule.contacts()],
+            schedule,
+            heat: ThermalState::new(),
+            stored_px: 0.0,
+            fired: 0,
+            ledger: PlacementLedger {
+                throttle_onset_k: config.thermal.throttle_onset_k,
+                storage_px: config.storage_px.max(0.0),
+                contact_capacity_px: capacity_px,
+                ..PlacementLedger::default()
+            },
+        }
+    }
+
+    /// Enters `frame` and returns the pass that serves it. Passes fire
+    /// at segment boundaries: entering pass `p` means every earlier pass
+    /// was served, releasing its deferred tiles from storage.
+    fn enter(&mut self, frame: usize) -> usize {
+        let pass = self.schedule.pass_for_frame(frame);
+        while self.fired < pass {
+            if let Some(px) = self.deferred_to.get(self.fired) {
+                self.stored_px = (self.stored_px - px).max(0.0);
+            }
+            self.fired += 1;
+        }
+        pass
+    }
+
+    /// Spends `joules` of the energy budget and deposits their heat.
+    fn spend(&mut self, joules: f64) {
+        self.ledger.energy_used_j += joules;
+        self.heat.advance(&self.thermal, joules, self.period_s);
+    }
+
+    /// Processes the frame on orbit: spends its full work, charges its
+    /// own pass with what it sends (capped at the pass's spare
+    /// capacity) and runs it under the thermal throttle times the
+    /// energy stretch.
+    fn process_on_orbit(&mut self, costs: &FrameCosts) -> Placement {
+        self.spend(costs.work_j);
+        let sent_px = costs.sent_px.min(self.schedule.spare(costs.pass));
+        self.schedule.charge(costs.pass, sent_px);
+        let throttle = costs.throttle * costs.stretch;
+        self.ledger.frames_on_orbit += 1;
+        if throttle > 1.0 {
+            self.ledger.frames_throttled += 1;
+        }
+        Placement::OnOrbit { throttle }
+    }
+
+    /// Ships the frame's `tiles` raw at `pass`, charging it `px`: the
+    /// frame's own pass, or a later one through on-board storage, which
+    /// is a deferral. The frame still pays its context-engine scan.
+    fn ship_raw(&mut self, costs: &FrameCosts, pass: usize, tiles: Vec<u32>, px: f64) -> Placement {
+        self.spend(costs.scan_j);
+        self.schedule.charge(pass, px);
+        let shipped = tiles.len() as u64;
+        self.ledger.tiles_raw_downlinked += shipped;
+        self.ledger.tiles_raw_dropped += costs.tiles.saturating_sub(shipped);
+        if pass == costs.pass {
+            self.ledger.frames_downlink_raw += 1;
+            return Placement::DownlinkRaw { tiles };
+        }
+        self.stored_px += px;
+        if self.stored_px > self.ledger.storage_peak_px {
+            self.ledger.storage_peak_px = self.stored_px;
+        }
+        if let Some(deferred) = self.deferred_to.get_mut(pass) {
+            *deferred += px;
+        }
+        self.ledger.deferred_px += px;
+        self.ledger.frames_deferred += 1;
+        Placement::Defer { tiles }
+    }
+}
 
 /// The planner: scores every frame of a window against the
 /// energy/thermal/contact cost triple and emits a [`DayPlan`].
@@ -298,148 +405,65 @@ impl ExecutionPlanner {
         &self.config
     }
 
-    /// Places every frame of a window. Decisions are made serially in
-    /// frame-index order and tiles are canonicalized by index before
-    /// ranking, so the result is invariant to both worker count and the
-    /// order tiles appear in each estimate. This is a protected lint
-    /// entry point: nothing reachable from here may panic.
+    /// Places every frame of a window, one placement per estimate.
+    /// Decisions are made serially in frame-index order from positional
+    /// estimates, so the result is invariant to worker count. This is a
+    /// protected lint entry point: nothing reachable from here may
+    /// panic.
     pub fn plan_day(&self, estimates: &[FrameEstimate]) -> DayPlan {
         let n = estimates.len();
         let deadline_s = self.frame_deadline.as_seconds().max(0.0);
         let power_w = self.target.power_watts().max(0.0);
         let latency = LatencyModel::new(self.target);
         let scan_tile_s = latency.context_engine_tile_time().as_seconds().max(0.0);
+        let duty = self.config.energy.max_duty_cycle(self.target);
 
         let mut total_observed = 0.0;
         for est in estimates {
             total_observed += est.observed_px as f64;
         }
         let capacity_px = self.capacity_fraction.max(0.0) * total_observed;
-        let mut schedule = ContactSchedule::evenly(capacity_px, self.config.contacts, n);
         let fair_share_px = if n > 0 { capacity_px / n as f64 } else { 0.0 };
+        let mut window = Window::open(&self.config, capacity_px, n, deadline_s);
 
-        let duty = self.config.energy.max_duty_cycle(self.target);
-        let mut thermal_state = ThermalState::new();
-        // Deferred tiles live in the real downlink queue model until
-        // their pass fires; its occupancy bound is what gates deferral.
-        let mut storage = DownlinkQueue::new(self.config.storage_px.max(1.0));
-        let mut deferred_to: Vec<f64> = vec![0.0; schedule.contacts()];
-        let mut served_pass = 0usize;
-        let mut energy_used_j = 0.0;
-
-        let mut ledger = PlacementLedger {
-            throttle_onset_k: self.config.thermal.throttle_onset_k,
-            storage_px: self.config.storage_px.max(0.0),
-            contact_capacity_px: capacity_px,
-            ..PlacementLedger::default()
-        };
         let mut frames = Vec::with_capacity(n);
-
         for (i, est) in estimates.iter().enumerate() {
-            let pass = schedule.pass_for_frame(i);
-            // Passes fire at segment boundaries: entering pass `p` means
-            // every earlier pass was served, releasing its deferred
-            // tiles from storage.
-            while served_pass < pass {
-                if let Some(px) = deferred_to.get(served_pass).copied() {
-                    if px > 0.0 {
-                        let _ = storage.drain(px);
-                    }
-                }
-                served_pass = served_pass.saturating_add(1);
-            }
-
-            let throttle = thermal_state.throttle(&self.config.thermal);
-            let busy_s = est.busy_seconds.max(0.0);
-            let work_j = power_w * busy_s;
-            let scan_work_j = power_w * scan_tile_s * est.tiles.len() as f64;
+            let work_j = power_w * est.busy_seconds.max(0.0);
             let horizon = Duration::from_seconds(deadline_s * (i as f64 + 1.0));
-            let energy_ok = energy_used_j + work_j <= self.config.energy.energy_over(horizon);
-            let energy_stretch = if energy_ok || duty <= 0.0 {
-                1.0
-            } else {
-                (1.0 / duty).max(1.0)
+            let energy_ok =
+                window.ledger.energy_used_j + work_j <= self.config.energy.energy_over(horizon);
+            let costs = FrameCosts {
+                pass: window.enter(i),
+                work_j,
+                scan_j: power_w * scan_tile_s * est.tiles.len() as f64,
+                throttle: window.heat.throttle(&self.config.thermal),
+                energy_ok,
+                stretch: if energy_ok || duty <= 0.0 {
+                    1.0
+                } else {
+                    (1.0 / duty).max(1.0)
+                },
+                sent_px: est.sent_px as f64,
+                tiles: est.tiles.len() as u64,
             };
-
-            let placement = match self.config.mode {
-                PlanMode::AllOnOrbit => {
-                    energy_used_j += work_j;
-                    thermal_state.advance(&self.config.thermal, work_j, deadline_s);
-                    schedule.charge(pass, (est.sent_px as f64).min(schedule.spare(pass)));
-                    Placement::OnOrbit {
-                        throttle: throttle * energy_stretch,
-                    }
-                }
+            frames.push(match self.config.mode {
+                PlanMode::AllOnOrbit => window.process_on_orbit(&costs),
                 PlanMode::AllDownlinkRaw => {
-                    let mut tiles: Vec<u32> = est.tiles.iter().map(|t| t.index).collect();
-                    tiles.sort_unstable();
-                    tiles.dedup();
-                    energy_used_j += scan_work_j;
-                    thermal_state.advance(&self.config.thermal, scan_work_j, deadline_s);
-                    schedule.charge(pass, (est.observed_px as f64).min(schedule.spare(pass)));
-                    Placement::DownlinkRaw {
-                        pass: pass as u32,
-                        tiles,
-                    }
+                    let px = (est.observed_px as f64).min(window.schedule.spare(costs.pass));
+                    let tiles = (0..est.tiles.len() as u32).collect();
+                    window.ship_raw(&costs, costs.pass, tiles, px)
                 }
-                PlanMode::Auto => self.place_auto(
-                    est,
-                    pass,
-                    throttle,
-                    energy_ok,
-                    energy_stretch,
-                    fair_share_px,
-                    work_j,
-                    scan_work_j,
-                    deadline_s,
-                    &mut schedule,
-                    &mut thermal_state,
-                    &mut storage,
-                    &mut deferred_to,
-                    &mut energy_used_j,
-                ),
-            };
-
-            match &placement {
-                Placement::OnOrbit { throttle } => {
-                    ledger.frames_on_orbit += 1;
-                    if *throttle > 1.0 {
-                        ledger.frames_throttled += 1;
-                    }
-                }
-                Placement::DownlinkRaw { tiles, .. } => {
-                    ledger.frames_downlink_raw += 1;
-                    ledger.tiles_raw_downlinked += tiles.len() as u64;
-                    ledger.tiles_raw_dropped +=
-                        (est.tiles.len() as u64).saturating_sub(tiles.len() as u64);
-                }
-                Placement::Defer { tiles, .. } => {
-                    ledger.frames_deferred += 1;
-                    ledger.tiles_raw_downlinked += tiles.len() as u64;
-                    ledger.tiles_raw_dropped +=
-                        (est.tiles.len() as u64).saturating_sub(tiles.len() as u64);
-                }
-            }
-            if storage.occupied_bits() > ledger.storage_peak_px {
-                ledger.storage_peak_px = storage.occupied_bits();
-            }
-            frames.push(FramePlan {
-                frame_index: i as u64,
-                placement,
+                PlanMode::Auto => self.place_auto(&mut window, &costs, &est.tiles, fair_share_px),
             });
         }
 
-        ledger.energy_used_j = energy_used_j;
+        let mut ledger = window.ledger;
         ledger.energy_available_j = self
             .config
             .energy
             .energy_over(Duration::from_seconds(deadline_s * n as f64));
-        ledger.peak_temperature_k = thermal_state.peak_k();
-        ledger.contact_used_px = schedule.used_px();
-        for px in &deferred_to {
-            ledger.deferred_px += px;
-        }
-
+        ledger.peak_temperature_k = window.heat.peak_k();
+        ledger.contact_used_px = window.schedule.used_px();
         DayPlan { frames, ledger }
     }
 
@@ -449,117 +473,68 @@ impl ExecutionPlanner {
     /// clearest tiles into the best pass within the defer horizon; only
     /// if no contact or storage room exists at all, process anyway under
     /// whatever throttle applies.
-    #[allow(clippy::too_many_arguments)]
     fn place_auto(
         &self,
-        est: &FrameEstimate,
-        pass: usize,
-        throttle: f64,
-        energy_ok: bool,
-        energy_stretch: f64,
+        window: &mut Window,
+        costs: &FrameCosts,
+        tiles: &[TileEstimate],
         fair_share_px: f64,
-        work_j: f64,
-        scan_work_j: f64,
-        deadline_s: f64,
-        schedule: &mut ContactSchedule,
-        thermal_state: &mut ThermalState,
-        storage: &mut DownlinkQueue,
-        deferred_to: &mut [f64],
-        energy_used_j: &mut f64,
     ) -> Placement {
-        let sent_px = est.sent_px as f64;
-        let cool = throttle <= 1.0;
-        if cool && energy_ok && schedule.spare(pass) >= sent_px {
-            *energy_used_j += work_j;
-            thermal_state.advance(&self.config.thermal, work_j, deadline_s);
-            schedule.charge(pass, sent_px);
-            return Placement::OnOrbit { throttle: 1.0 };
+        let pass = costs.pass;
+        // Cool and within budget, the throttle and the stretch are both
+        // exactly 1.0, so the frame runs at full speed.
+        if costs.throttle <= 1.0 && costs.energy_ok && window.schedule.spare(pass) >= costs.sent_px
+        {
+            return window.process_on_orbit(costs);
         }
 
         // Raw fill: find the first pass within the defer horizon with a
         // worthwhile amount of spare capacity.
-        let last_pass = schedule.contacts().saturating_sub(1);
-        let horizon_pass = pass.saturating_add(self.config.defer_horizon).min(last_pass);
-        let mut target_pass = pass;
-        let mut worthwhile = false;
-        let mut k = pass;
-        while k <= horizon_pass {
-            if schedule.spare(k) >= fair_share_px * DEFER_WORTHWHILE_FRACTION {
-                target_pass = k;
-                worthwhile = true;
-                break;
-            }
-            k = k.saturating_add(1);
-        }
-        let quota = if worthwhile {
-            schedule.spare(target_pass).min(fair_share_px * RAW_FILL_BOOST)
-        } else {
-            schedule.spare(pass)
+        let last_pass = window.schedule.contacts().saturating_sub(1);
+        let horizon_pass = pass
+            .saturating_add(self.config.defer_horizon)
+            .min(last_pass);
+        let worthwhile = (pass..=horizon_pass)
+            .find(|&k| window.schedule.spare(k) >= fair_share_px * DEFER_WORTHWHILE_FRACTION);
+        let (target_pass, quota) = match worthwhile {
+            Some(k) => (
+                k,
+                window.schedule.spare(k).min(fair_share_px * RAW_FILL_BOOST),
+            ),
+            None => (pass, window.schedule.spare(pass)),
         };
         let deferring = target_pass > pass;
+        let storage_px = self.config.storage_px.max(1.0);
 
-        // Canonicalize tile order, then rank by clear pixels descending
-        // (ties by index) so the fill is invariant to the order tiles
-        // were estimated in.
-        let mut ranked: Vec<TileEstimate> = est.tiles.clone();
-        ranked.sort_unstable_by(|a, b| a.index.cmp(&b.index));
-        ranked.dedup_by(|a, b| a.index == b.index);
-        ranked.sort_by(|a, b| b.clear_px.cmp(&a.clear_px).then(a.index.cmp(&b.index)));
+        // Rank by clear pixels descending; the sort is stable, so ties
+        // keep tile order.
+        let mut ranked: Vec<(u32, &TileEstimate)> = (0..).zip(tiles).collect();
+        ranked.sort_by_key(|&(_, tile)| Reverse(tile.clear_px));
 
         let mut chosen: Vec<u32> = Vec::new();
         let mut fill_px = 0.0;
-        for tile in &ranked {
+        for (index, tile) in ranked {
             let tile_px = tile.px as f64;
             if tile_px <= 0.0 {
                 continue;
             }
-            if fill_px + tile_px > quota {
+            if fill_px + tile_px > quota
+                || (deferring && window.stored_px + fill_px + tile_px > storage_px)
+            {
                 break;
             }
-            if deferring {
-                if storage.occupied_bits() + tile_px > storage.storage_bits() {
-                    break;
-                }
-                let value = (tile.clear_px as f64).min(tile_px);
-                match QueueEntry::new(tile_px, value) {
-                    Ok(entry) => storage.push(entry),
-                    Err(_) => continue,
-                }
-            }
             fill_px += tile_px;
-            chosen.push(tile.index);
+            chosen.push(index);
         }
 
         if chosen.is_empty() {
             // No contact or storage room anywhere in the horizon:
             // process anyway under the applicable throttle and stretch —
             // progress beats a dropped frame.
-            *energy_used_j += work_j;
-            thermal_state.advance(&self.config.thermal, work_j, deadline_s);
-            schedule.charge(pass, sent_px.min(schedule.spare(pass)));
-            return Placement::OnOrbit {
-                throttle: throttle * energy_stretch,
-            };
+            return window.process_on_orbit(costs);
         }
-
         chosen.sort_unstable();
-        schedule.charge(target_pass, fill_px);
-        *energy_used_j += scan_work_j;
-        thermal_state.advance(&self.config.thermal, scan_work_j, deadline_s);
-        if deferring {
-            if let Some(px) = deferred_to.get_mut(target_pass) {
-                *px += fill_px;
-            }
-            Placement::Defer {
-                pass: target_pass as u32,
-                tiles: chosen,
-            }
-        } else {
-            Placement::DownlinkRaw {
-                pass: target_pass as u32,
-                tiles: chosen,
-            }
-        }
+        window.ship_raw(costs, target_pass, chosen, fill_px)
     }
 }
 
@@ -575,7 +550,6 @@ mod tests {
             .map(|_| {
                 let tiles: Vec<TileEstimate> = (0..9u32)
                     .map(|t| TileEstimate {
-                        index: t,
                         px: 1936,
                         clear_px: (1936.0 * (0.9 - 0.1 * t as f64)).round() as u64,
                     })
@@ -630,11 +604,9 @@ mod tests {
     fn raw_fill_prefers_the_clearest_tiles() {
         let estimates = synthetic_estimates(48, 15.0);
         let plan = planner(PlanConfig::default_plan()).plan_day(&estimates);
-        let raw_frame = plan.frames().iter().find_map(|f| match &f.placement {
-            Placement::DownlinkRaw { tiles, .. } | Placement::Defer { tiles, .. } => {
-                Some(tiles.clone())
-            }
-            _ => None,
+        let raw_frame = plan.frames().iter().find_map(|placement| match placement {
+            Placement::DownlinkRaw { tiles } | Placement::Defer { tiles } => Some(tiles.clone()),
+            Placement::OnOrbit { .. } => None,
         });
         let tiles = raw_frame.expect("at least one raw frame");
         assert!(!tiles.is_empty());
@@ -700,21 +672,6 @@ mod tests {
         assert!(plan.ledger.deferred_px > 0.0);
         assert!(plan.ledger.storage_peak_px > 0.0);
         assert!(plan.ledger.storage_peak_px <= plan.ledger.storage_px);
-    }
-
-    #[test]
-    fn plans_are_invariant_to_tile_estimate_order() {
-        let mut estimates = synthetic_estimates(24, 15.0);
-        let planner = planner(PlanConfig::default_plan());
-        let baseline = planner.plan_day(&estimates);
-        for est in &mut estimates {
-            est.tiles.reverse();
-        }
-        assert_eq!(
-            baseline,
-            planner.plan_day(&estimates),
-            "tile evaluation order leaked into the plan"
-        );
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl ContactSchedule {
         }
     }
 
-    /// Total capacity across all passes, pixels.
-    pub fn capacity_px(&self) -> f64 {
-        self.per_pass_px * self.used_px.len() as f64
-    }
-
     /// Total committed across all passes, pixels.
     pub fn used_px(&self) -> f64 {
         let mut total = 0.0;
@@ -111,14 +106,14 @@ mod tests {
         schedule.charge(0, 900.0);
         assert_eq!(schedule.spare(0), 0.0, "spare floors at zero");
         assert_eq!(schedule.used_px(), 1200.0, "overcommit is still recorded");
-        assert_eq!(schedule.capacity_px(), 1000.0);
+        assert_eq!(schedule.spare(1), 500.0, "pass 1 keeps its share");
     }
 
     #[test]
     fn degenerate_schedules_are_inert_not_panicky() {
         let mut empty = ContactSchedule::evenly(-5.0, 0, 0);
         assert_eq!(empty.contacts(), 1, "at least one pass always exists");
-        assert_eq!(empty.capacity_px(), 0.0);
+        assert_eq!(empty.spare(0), 0.0, "no negative-size pass");
         assert_eq!(empty.pass_for_frame(3), 0, "zero frames never divides by zero");
         assert_eq!(empty.spare(7), 0.0);
         empty.charge(7, 10.0);

@@ -537,8 +537,9 @@ impl Runtime {
     /// the frame, charged as `Classification` time with no resize — then
     /// the plan's `chosen` tiles ship raw and the rest are dropped on
     /// board. Raw frames draw no upset and no classify transient.
-    /// `chosen` is sorted ascending (the planner canonicalizes it), so
-    /// membership is a binary search and nothing here indexes or panics.
+    /// `chosen` is strictly increasing (as every raw placement's tiles
+    /// are), so membership is a binary search and nothing here indexes
+    /// or panics.
     fn ship_planned_raw_tiles(
         &self,
         tiles: &[TileImage],
@@ -601,11 +602,11 @@ fn announce_placement<'p>(
             }
             (PlacementKind::OnOrbit, None)
         }
-        Placement::DownlinkRaw { tiles, .. } => {
+        Placement::DownlinkRaw { tiles } => {
             recorder.count(CounterId::FramesPlannedDownlinkRaw, 1);
             (PlacementKind::DownlinkRaw, Some(tiles.as_slice()))
         }
-        Placement::Defer { tiles, .. } => {
+        Placement::Defer { tiles } => {
             recorder.count(CounterId::FramesPlannedDeferred, 1);
             (PlacementKind::Deferred, Some(tiles.as_slice()))
         }

@@ -1,12 +1,12 @@
 //! Property-based tests for the Kodan core's accounting invariants:
 //! DVD bounds, action-outcome consistency, constellation sizing, and
-//! placement-planner canonicalization.
+//! execution-plan invariants.
 
 use kodan::coverage::satellites_required;
 use kodan::dvd::DownlinkAccounting;
 use kodan::elide::ActionOutcome;
-use kodan::plan::{FrameEstimate, TileEstimate};
-use kodan::{ExecutionPlanner, PlanConfig};
+use kodan::plan::{FrameEstimate, Placement, TileEstimate};
+use kodan::{ExecutionPlanner, PlanConfig, PlanMode};
 use kodan_cote::time::Duration;
 use kodan_hw::HwTarget;
 use kodan_ml::eval::ConfusionMatrix;
@@ -78,7 +78,7 @@ proptest! {
     }
 
     #[test]
-    fn planner_decisions_are_invariant_to_tile_order(
+    fn planned_days_keep_the_plan_invariants(
         frames in proptest::collection::vec(
             (
                 0.5f64..40.0,                                        // busy seconds
@@ -89,54 +89,106 @@ proptest! {
             ),
             1..8,
         ),
-        rotate in 0usize..16,
         contacts in 1usize..6,
+        storage_px in 0.0f64..2.0e4,
     ) {
-        // The planner promises decisions depend only on the *set* of
-        // tile estimates, never the order the estimate pass emitted
-        // them in — that is what makes planned missions byte-identical
-        // at any worker count. Feed it the same day with every frame's
-        // tile list rotated and reversed and demand an identical plan.
-        let build = |permute: bool| -> Vec<FrameEstimate> {
-            frames
-                .iter()
-                .map(|(busy, tiles)| {
-                    let mut tile_estimates: Vec<TileEstimate> = tiles
-                        .iter()
-                        .enumerate()
-                        .map(|(i, (px, clear))| TileEstimate {
-                            index: i as u32,
-                            px: *px,
-                            clear_px: (clear * *px as f64) as u64,
-                        })
-                        .collect();
-                    if permute {
-                        tile_estimates.reverse();
-                        let k = rotate % tile_estimates.len().max(1);
-                        tile_estimates.rotate_left(k);
+        // Whatever the day and the mode, the plan places every frame
+        // exactly once, ships only real tiles in increasing order, and
+        // keeps a ledger that matches its placements and its bounds.
+        let estimates: Vec<FrameEstimate> = frames
+            .iter()
+            .map(|(busy, tiles)| {
+                let tiles: Vec<TileEstimate> = tiles
+                    .iter()
+                    .map(|(px, clear)| TileEstimate {
+                        px: *px,
+                        clear_px: (clear * *px as f64) as u64,
+                    })
+                    .collect();
+                FrameEstimate {
+                    busy_seconds: *busy,
+                    sent_px: tiles.iter().map(|t| t.clear_px).sum(),
+                    observed_px: tiles.iter().map(|t| t.px).sum(),
+                    tiles,
+                }
+            })
+            .collect();
+        for mode in [PlanMode::Auto, PlanMode::AllOnOrbit, PlanMode::AllDownlinkRaw] {
+            let config = PlanConfig {
+                mode,
+                contacts,
+                storage_px,
+                ..PlanConfig::default_plan()
+            };
+            let planner = ExecutionPlanner::new(
+                config,
+                HwTarget::OrinAgx15W,
+                Duration::from_seconds(21.0),
+                0.2,
+            );
+            let plan = planner.plan_day(&estimates);
+            let ledger = &plan.ledger;
+            prop_assert_eq!(plan.frames().len(), estimates.len(), "{}", mode);
+            let (mut on_orbit, mut raw, mut deferred) = (0u64, 0u64, 0u64);
+            let (mut shipped, mut raw_frame_tiles) = (0u64, 0u64);
+            for (placement, estimate) in plan.frames().iter().zip(&estimates) {
+                let tiles = match placement {
+                    Placement::OnOrbit { throttle } => {
+                        prop_assert!(*throttle >= 1.0, "{}: throttle {} below 1", mode, throttle);
+                        on_orbit += 1;
+                        continue;
                     }
-                    let observed_px: u64 = tile_estimates.iter().map(|t| t.px).sum();
-                    let clear_px: u64 = tile_estimates.iter().map(|t| t.clear_px).sum();
-                    FrameEstimate {
-                        busy_seconds: *busy,
-                        sent_px: clear_px,
-                        observed_px,
-                        tiles: tile_estimates,
+                    Placement::DownlinkRaw { tiles } => {
+                        raw += 1;
+                        tiles
                     }
-                })
-                .collect()
-        };
-        let mut config = PlanConfig::default_plan();
-        config.contacts = contacts;
-        let planner = ExecutionPlanner::new(
-            config,
-            HwTarget::OrinAgx15W,
-            Duration::from_seconds(21.0),
-            0.2,
-        );
-        let canonical = planner.plan_day(&build(false));
-        let permuted = planner.plan_day(&build(true));
-        prop_assert_eq!(canonical, permuted);
+                    Placement::Defer { tiles } => {
+                        deferred += 1;
+                        tiles
+                    }
+                };
+                prop_assert!(
+                    tiles.windows(2).all(|w| w[0] < w[1]),
+                    "{}: raw tiles not strictly increasing: {:?}",
+                    mode,
+                    tiles
+                );
+                prop_assert!(
+                    tiles.iter().all(|&t| (t as usize) < estimate.tiles.len()),
+                    "{}: raw tile out of range: {:?}",
+                    mode,
+                    tiles
+                );
+                shipped += tiles.len() as u64;
+                raw_frame_tiles += estimate.tiles.len() as u64;
+            }
+            prop_assert_eq!(
+                (ledger.frames_on_orbit, ledger.frames_downlink_raw, ledger.frames_deferred),
+                (on_orbit, raw, deferred),
+                "{}",
+                mode
+            );
+            prop_assert_eq!(on_orbit + raw + deferred, estimates.len() as u64, "{}", mode);
+            prop_assert_eq!(ledger.tiles_raw_downlinked, shipped, "{}", mode);
+            prop_assert_eq!(
+                ledger.tiles_raw_downlinked + ledger.tiles_raw_dropped,
+                raw_frame_tiles,
+                "{}",
+                mode
+            );
+            prop_assert!(
+                ledger.contact_used_px <= ledger.contact_capacity_px * (1.0 + 1e-9),
+                "{}: overfilled the downlink: {:?}",
+                mode,
+                ledger
+            );
+            prop_assert!(
+                ledger.storage_peak_px <= ledger.storage_px.max(1.0),
+                "{}: overfilled storage: {:?}",
+                mode,
+                ledger
+            );
+        }
     }
 
     #[test]

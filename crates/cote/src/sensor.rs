@@ -64,12 +64,6 @@ impl Imager {
         Imager::new(150_000.0, 185_000.0, 10_000, 132)
     }
 
-    /// A small-sat multispectral imager (Dove-like): 25 km frames,
-    /// 4K pixels, 4 bands x 12 bits.
-    pub fn dove_like() -> Imager {
-        Imager::new(25_000.0, 25_000.0, 4_000, 48)
-    }
-
     /// Along-track frame length, meters.
     pub fn frame_length_m(&self) -> f64 {
         self.frame_length_m

@@ -58,11 +58,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared Euclidean norm (avoids the square root).
-    pub fn norm_squared(self) -> f64 {
-        self.dot(self)
-    }
-
     /// Unit vector in the same direction.
     ///
     /// # Panics

@@ -105,16 +105,6 @@ impl Dataset {
         Dataset { frames }
     }
 
-    /// Builds a dataset from existing frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frames` is empty.
-    pub fn from_frames(frames: Vec<FrameImage>) -> Dataset {
-        assert!(!frames.is_empty(), "dataset needs frames");
-        Dataset { frames }
-    }
-
     /// The frames in this dataset.
     pub fn frames(&self) -> &[FrameImage] {
         &self.frames

@@ -76,11 +76,6 @@ impl SurfaceType {
         }
     }
 
-    /// True for land surfaces.
-    pub fn is_land(self) -> bool {
-        self != SurfaceType::Ocean
-    }
-
     /// Top-of-atmosphere reflectance of this surface in each spectral
     /// channel (see [`crate::pixel`] for channel definitions). Values are
     /// representative of real remote-sensing albedos: ocean is dark, snow

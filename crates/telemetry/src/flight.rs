@@ -147,11 +147,6 @@ impl<R: Recorder> FlightRecorder<R> {
         &self.inner
     }
 
-    /// The wrapped recorder, mutably.
-    pub fn inner_mut(&mut self) -> &mut R {
-        &mut self.inner
-    }
-
     /// Unwraps the inner recorder, discarding the flight state.
     pub fn into_inner(self) -> R {
         self.inner

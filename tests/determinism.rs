@@ -2,8 +2,6 @@
 //! transformation, selection and missions — must be bit-reproducible
 //! from its seeds, because the paper-figure benches depend on it.
 
-mod common;
-
 use kodan::mission::{Mission, MissionParams, SpaceEnvironment, SystemKind};
 use kodan::pipeline::Transformation;
 use kodan::runtime::Runtime;
@@ -745,6 +743,73 @@ fn planned_missions_are_byte_identical_at_any_worker_count() {
             faulted_json_1.as_bytes(),
             snapshot_n.to_json().as_bytes(),
             "{workers}-worker forced telemetry diverged"
+        );
+    }
+}
+
+#[test]
+fn planned_modes_match_pinned_bits() {
+    // The default planner and both of the baselines it reports, each
+    // flown end to end at the default plan config, on a day long enough
+    // that Auto both processes frames on orbit and ships frames raw.
+    // A `PlannedMissionReport` holds the ledger, not the placements, so
+    // these digests outlive any change to the plan's own types.
+    use kodan::plan::PlanMode;
+    use kodan::{ExecutionPlanner, PlanConfig};
+
+    let dataset = small_dataset(1);
+    let artifacts = Transformation::new(KodanConfig::fast(9))
+        .run(&dataset, ModelArch::MobileNetV2DilatedC1)
+        .expect("transformation succeeds");
+    let env = SpaceEnvironment::fixed(0.21);
+    let world = World::new(42);
+    let params = MissionParams {
+        sample_frames: 24,
+        frame_px: 132,
+        frame_km: 150.0,
+        sample_window_days: 1.0,
+    };
+    let logic = artifacts.select_with_capacity(
+        HwTarget::OrinAgx15W,
+        env.frame_deadline,
+        env.capacity_fraction,
+    );
+    let runtime = Runtime::new(logic, artifacts.engine.clone());
+    let mission = Mission::new(&env, &world, params);
+    let pinned = [
+        (PlanMode::Auto, 0x74d0_af59_8dd2_11cc),
+        (PlanMode::AllOnOrbit, 0x3fad_6fa6_16ff_8822),
+        (PlanMode::AllDownlinkRaw, 0xf1e7_f6f4_e1cd_69aa),
+    ];
+    for (mode, pin) in pinned {
+        let planner = ExecutionPlanner::new(
+            PlanConfig {
+                mode,
+                ..PlanConfig::default_plan()
+            },
+            HwTarget::OrinAgx15W,
+            env.frame_deadline,
+            env.capacity_fraction,
+        );
+        let mut recorder = SummaryRecorder::new();
+        let planned = mission.run_planned_recorded(&runtime, &planner, &mut recorder);
+        if mode == PlanMode::Auto {
+            let ledger = &planned.ledger;
+            assert!(ledger.frames_on_orbit >= 1, "no on-orbit frame: {ledger:?}");
+            assert!(
+                ledger.frames_downlink_raw + ledger.frames_deferred >= 1,
+                "no raw or deferred frame: {ledger:?}"
+            );
+            assert_eq!(
+                fnv1a64(recorder.snapshot().to_json().as_bytes()),
+                0xb1dc_05e9_531e_7b53,
+                "auto planned telemetry drifted"
+            );
+        }
+        assert_eq!(
+            fnv1a64(format!("{planned:?}").as_bytes()),
+            pin,
+            "{mode} planned mission drifted: {planned:?}"
         );
     }
 }

@@ -360,12 +360,11 @@ fn raw_placed_frames_ship_exactly_their_chosen_tiles() {
     let mut raw_frames = 0u64;
     let mut chosen_tiles = 0u64;
     let flown = day_plan.frames().iter().zip(&outcomes).zip(&estimates);
-    for ((frame_plan, outcome), estimate) in flown {
-        let chosen = match &frame_plan.placement {
-            Placement::DownlinkRaw { tiles, .. } | Placement::Defer { tiles, .. } => tiles,
+    for (frame, ((placement, outcome), estimate)) in flown.enumerate() {
+        let chosen = match placement {
+            Placement::DownlinkRaw { tiles } | Placement::Defer { tiles } => tiles,
             Placement::OnOrbit { .. } => continue,
         };
-        let frame = frame_plan.frame_index;
         raw_frames += 1;
         chosen_tiles += chosen.len() as u64;
         assert_eq!(outcome.tiles_processed, 0, "frame {frame} ran a model");
