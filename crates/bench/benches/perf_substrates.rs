@@ -86,6 +86,15 @@ fn bench_features_and_inference(c: &mut Criterion) {
     c.bench_function("model_predict_tile_quantized", |b| {
         b.iter(|| quantized.predict_tile(black_box(&tiles[0])))
     });
+    // The 22-px tile above keeps every model pixel. Direct deploy's
+    // 12-px tiles are upscaled to 22 px, and their mask reads 144 of
+    // the 484 model pixels.
+    c.bench_function("model_predict_tile_12_to_22", |b| {
+        b.iter(|| model.predict_tile(black_box(&direct_tiles[0])))
+    });
+    c.bench_function("model_predict_tile_12_to_22_quantized", |b| {
+        b.iter(|| quantized.predict_tile(black_box(&direct_tiles[0])))
+    });
 }
 
 fn bench_training(c: &mut Criterion) {

@@ -12,9 +12,9 @@
 //! each target is the paper's Table 1.
 
 use crate::context::ContextId;
-use kodan_geodata::features::{pixel_features, FEATURE_DIM};
+use kodan_geodata::features::{pixel_features, pixel_features_at, FEATURE_DIM};
 use kodan_geodata::pixel::CHANNELS;
-use kodan_geodata::resize::{resize_channels, resize_mask};
+use kodan_geodata::resize::{resize_channels, resize_mask, NearestPicks};
 use kodan_geodata::tile::TileImage;
 use kodan_ml::eval::ConfusionMatrix;
 use kodan_ml::mlp::Mlp;
@@ -195,25 +195,32 @@ impl SpecializedModel {
     /// native resolution* (predictions are made at the model input
     /// resolution and carried back by nearest-neighbor resampling —
     /// exactly where decimation error enters).
+    ///
+    /// Only the model pixels the resampling reads are featurized and
+    /// classified: all r*r when the tile has at least r px, and n*n of
+    /// them when an n-px tile is upscaled. The mask equals that of a
+    /// pass over every pixel, bit for bit: a pixel's features read only
+    /// its own resized channels and its 3x3 luminance window, and both
+    /// mask kernels decide each row independently of the rest of its
+    /// block. Both read the first `feature_budget` features of each
+    /// FEATURE_DIM-strided row and decide from the logit, so each
+    /// path's mask is bit-identical to thresholding its own
+    /// probabilities at the [`Mlp::predict`] threshold of 0.5. The
+    /// quantized kernel never touches the sigmoid; the f64 one only for
+    /// logits just below zero.
     pub fn predict_tile(&self, tile: &TileImage) -> Vec<bool> {
-        let feats = tile_features(tile, self.input_resolution);
         let r = self.input_resolution;
-        // Fused batch mask pass over all r*r pixels, blocked across
-        // pixels. Both paths read the first `feature_budget` features of
-        // each FEATURE_DIM-strided row — the same slices the per-pixel
-        // path passed — and decide from the logit, so each path's mask
-        // is bit-identical to thresholding its own probabilities at the
-        // [`Mlp::predict`] threshold of 0.5. The quantized
-        // kernel never touches the sigmoid; the f64 one only for logits
-        // just below zero.
-        let mut pred_at_r = Vec::new();
+        let picks = NearestPicks::new(r, tile.size());
+        let resized = resize_channels(tile.channels(), tile.size(), CHANNELS, r);
+        let feats = pixel_features_at(&resized, r, picks.picks());
+        let mut kept = Vec::new();
         match &self.quantized {
-            Some(q) => q.predict_mask_batch_into(&feats, FEATURE_DIM, &mut pred_at_r),
+            Some(q) => q.predict_mask_batch_into(&feats, FEATURE_DIM, &mut kept),
             None => self
                 .classifier
-                .predict_mask_batch_into(&feats, FEATURE_DIM, &mut pred_at_r),
+                .predict_mask_batch_into(&feats, FEATURE_DIM, &mut kept),
         }
-        resize_mask(&pred_at_r, r, tile.size())
+        picks.expand(&kept)
     }
 
     /// Evaluates the model on one tile against native-resolution truth.
@@ -458,8 +465,11 @@ fn sample_training_pixels(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kodan_geodata::tile::tile_frame;
     use kodan_geodata::{Dataset, DatasetConfig, World};
     use kodan_ml::train::TrainConfig;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn tiles() -> Vec<TileImage> {
         let world = World::new(42);
@@ -470,6 +480,113 @@ mod tests {
 
     fn fast_config() -> TrainConfig {
         TrainConfig::fast(1)
+    }
+
+    /// The dense prediction path the kept-pixel path replaced: every
+    /// model pixel featurized and classified, then carried back by
+    /// [`resize_mask`]. Kept as the reference [`SpecializedModel::predict_tile`]
+    /// must match bit for bit.
+    fn reference_predict_tile(model: &SpecializedModel, tile: &TileImage) -> Vec<bool> {
+        let feats = tile_features(tile, model.input_resolution);
+        let r = model.input_resolution;
+        let mut pred_at_r = Vec::new();
+        match &model.quantized {
+            Some(q) => q.predict_mask_batch_into(&feats, FEATURE_DIM, &mut pred_at_r),
+            None => model
+                .classifier
+                .predict_mask_batch_into(&feats, FEATURE_DIM, &mut pred_at_r),
+        }
+        resize_mask(&pred_at_r, r, tile.size())
+    }
+
+    /// A global f64 model and its quantized copy for every
+    /// architecture, trained once.
+    fn zoo_models() -> &'static [SpecializedModel] {
+        static MODELS: OnceLock<Vec<SpecializedModel>> = OnceLock::new();
+        MODELS.get_or_init(|| {
+            let tiles = tiles();
+            ModelArch::ALL
+                .iter()
+                .flat_map(|&arch| {
+                    let model = SpecializedModel::train(
+                        &tiles,
+                        arch,
+                        ModelScope::Global,
+                        1_000,
+                        &fast_config(),
+                    );
+                    let mut quantized = model.clone();
+                    quantized.quantize_in_place();
+                    [model, quantized]
+                })
+                .collect()
+        })
+    }
+
+    /// `tile` with about one channel value in eight replaced by NaN,
+    /// ±inf, ±0 or a subnormal.
+    fn with_special_values(tile: &TileImage, seed: u64) -> TileImage {
+        const SPECIAL: [f32; 8] = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE / 8.0,
+            -f32::MIN_POSITIVE / 8.0,
+            f32::from_bits(1),
+        ];
+        let mut state = seed;
+        let channels = tile
+            .channels()
+            .iter()
+            .map(|&v| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let bits = state >> 32;
+                if bits.is_multiple_of(8) {
+                    SPECIAL[(bits >> 3) as usize % SPECIAL.len()]
+                } else {
+                    v
+                }
+            })
+            .collect();
+        tile.with_channels(channels)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn kept_pixel_prediction_matches_the_dense_reference_bitwise(
+            world_seed in 0u64..1_000,
+            grid in 1usize..=3,
+            lat in -70.0f64..70.0,
+            lon in -180.0f64..180.0,
+            pick in 0usize..9,
+        ) {
+            let world = World::new(world_seed);
+            // Tiles of 1 to 32 px sit on both sides of every zoo input
+            // resolution (16-28 px): upscaled, copied and downscaled.
+            for n in 1..=32usize {
+                let frame = world.render_frame(lat, lon, 0.0, n * grid, 150.0);
+                let tiles = tile_frame(&frame, grid);
+                let tile = &tiles[pick % tiles.len()];
+                let special = with_special_values(tile, world_seed ^ ((n as u64) << 32));
+                for model in zoo_models() {
+                    for t in [tile, &special] {
+                        prop_assert_eq!(
+                            model.predict_tile(t),
+                            reference_predict_tile(model, t),
+                            "{:?} (quantized: {}) drifted on a {n}-px tile",
+                            model.arch(),
+                            model.is_quantized()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,39 +34,53 @@ pub const FEATURE_NAMES: [&str; FEATURE_DIM] = [
 /// of `size` x `size` pixels.
 ///
 /// Returns a row-major matrix with one row of [`FEATURE_DIM`] features per
-/// pixel.
+/// pixel. This is the full-grid case of [`pixel_features_at`].
 ///
 /// # Panics
 ///
 /// Panics if the buffer length does not match `size * size * CHANNELS`.
 pub fn pixel_features(channels: &[f32], size: usize) -> Vec<f64> {
+    let all: Vec<usize> = (0..size).collect();
+    pixel_features_at(channels, size, &all)
+}
+
+/// Computes the feature rows of the pixels on a pick grid of a
+/// `size` x `size` image: one row of [`FEATURE_DIM`] features for each
+/// pixel `(picks[i], picks[j])`, row-major over the grid. Each row
+/// equals that pixel's row of [`pixel_features`]: a pixel's features
+/// read only its own channels and the edge-clamped 3x3 window of the
+/// luminance plane, which is computed whole.
+///
+/// # Panics
+///
+/// Panics if the buffer length does not match `size * size * CHANNELS`
+/// or a pick is not below `size`.
+pub fn pixel_features_at(channels: &[f32], size: usize, picks: &[usize]) -> Vec<f64> {
     assert_eq!(
         channels.len(),
         size * size * CHANNELS,
         "buffer length mismatch"
     );
-    if size == 0 {
-        return Vec::new();
-    }
-    let lum = luminance_plane(channels);
-    let mut out = Vec::with_capacity(size * size * FEATURE_DIM);
-    let rows = channels
-        .chunks_exact(size * CHANNELS)
-        .zip(lum.chunks_exact(size));
-    for (r, (row_px, row_lum)) in rows.enumerate() {
-        for (c, (px, &l)) in row_px.chunks_exact(CHANNELS).zip(row_lum).enumerate() {
+    let stride = size + 2;
+    let lum = padded_luminance(channels, size);
+    let mut out = Vec::with_capacity(picks.len() * picks.len() * FEATURE_DIM);
+    for &r in picks {
+        let row_px = &channels[r * size * CHANNELS..(r + 1) * size * CHANNELS];
+        // Padded rows r, r + 1 and r + 2 hold the clamped image rows
+        // r - 1, r and r + 1.
+        let (top, rest) = lum[r * stride..(r + 3) * stride].split_at(stride);
+        let (mid, bot) = rest.split_at(stride);
+        for &c in picks {
+            let px = &row_px[c * CHANNELS..(c + 1) * CHANNELS];
+            let (t, m, b) = (&top[c..c + 3], &mid[c..c + 3], &bot[c..c + 3]);
+            let taps = [t[0], t[1], t[2], m[0], m[1], m[2], b[0], b[1], b[2]];
+            let l = m[1];
             let blue = f64::from(px[0]);
             let green = f64::from(px[1]);
             let red = f64::from(px[2]);
             let nir = f64::from(px[3]);
             let cirrus = f64::from(px[4]);
 
-            let interior = r > 0 && c > 0 && r + 1 < size && c + 1 < size;
-            let taps = if interior {
-                interior_taps(&lum, size, r, c)
-            } else {
-                clamped_taps(&lum, size, r, c)
-            };
             let (local_std, local_range) = window_stats(&taps);
             let cirrus_excess = cirrus - 0.05 * l;
             let ndvi = (nir - red) / (nir + red + 1e-6);
@@ -92,30 +106,29 @@ pub fn pixel_features(channels: &[f32], size: usize) -> Vec<f64> {
     out
 }
 
-/// Visible-band luminance plane.
-fn luminance_plane(channels: &[f32]) -> Vec<f64> {
-    channels
-        .chunks_exact(CHANNELS)
-        .map(|px| (f64::from(px[0]) + f64::from(px[1]) + f64::from(px[2])) / 3.0)
-        .collect()
-}
-
-/// The 3x3 luminance window of a pixel whose window lies inside the
-/// image, row by row: three row slices, no clamping.
-fn interior_taps(lum: &[f64], size: usize, r: usize, c: usize) -> [f64; 9] {
-    let [t, m, b] = [r - 1, r, r + 1].map(|row| &lum[row * size + c - 1..row * size + c + 2]);
-    [t[0], t[1], t[2], m[0], m[1], m[2], b[0], b[1], b[2]]
-}
-
-/// The 3x3 luminance window of a pixel on the image's border ring, row
-/// by row, with coordinates clamped at the edges.
-fn clamped_taps(lum: &[f64], size: usize, r: usize, c: usize) -> [f64; 9] {
-    let last = size as i64 - 1;
-    std::array::from_fn(|k| {
-        let rr = (r as i64 + k as i64 / 3 - 1).clamp(0, last) as usize;
-        let cc = (c as i64 + k as i64 % 3 - 1).clamp(0, last) as usize;
-        lum[rr * size + cc]
-    })
+/// The visible-band luminance plane with a one-pixel border that
+/// repeats its edge, `size + 2` values a row. Image pixel `(r, c)` sits
+/// at padded `(r + 1, c + 1)`, and its edge-clamped 3x3 window is three
+/// row slices of the padded plane.
+fn padded_luminance(channels: &[f32], size: usize) -> Vec<f64> {
+    let stride = size + 2;
+    let mut lum = vec![0.0; stride * stride];
+    if size == 0 {
+        return lum;
+    }
+    let rows = lum[stride..]
+        .chunks_exact_mut(stride)
+        .zip(channels.chunks_exact(size * CHANNELS));
+    for (row, px_row) in rows {
+        for (l, px) in row[1..].iter_mut().zip(px_row.chunks_exact(CHANNELS)) {
+            *l = (f64::from(px[0]) + f64::from(px[1]) + f64::from(px[2])) / 3.0;
+        }
+        row[0] = row[1];
+        row[size + 1] = row[size];
+    }
+    lum.copy_within(stride..2 * stride, 0);
+    lum.copy_within(size * stride..(size + 1) * stride, (size + 1) * stride);
+    lum
 }
 
 /// Standard deviation and range of a 3x3 luminance window, accumulated
@@ -141,12 +154,12 @@ fn window_stats(taps: &[f64; 9]) -> (f64, f64) {
 mod tests {
     use super::*;
     use crate::frame::World;
-    use crate::resize::resize_channels;
     use crate::resize::tests::{same_bits, stress_image};
+    use crate::resize::{resize_channels, NearestPicks};
     use crate::tile::tile_frame;
     use proptest::prelude::*;
 
-    /// The clamped-only feature extraction the interior fast path
+    /// The clamped per-tap feature extraction the padded luminance plane
     /// replaced, kept as the reference it must match bit for bit.
     fn reference_pixel_features(channels: &[f32], size: usize) -> Vec<f64> {
         let lum: Vec<f64> = (0..size * size)
@@ -219,7 +232,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn interior_fast_path_matches_the_clamped_reference_bitwise(
+        fn padded_windows_match_the_clamped_reference_bitwise(
             seed in 0u64..u64::MAX,
             size in 1usize..64,
         ) {
@@ -227,6 +240,31 @@ mod tests {
             prop_assert!(
                 same_bits(&pixel_features(&image, size), &reference_pixel_features(&image, size)),
                 "{size} px features drifted"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn pick_grid_rows_match_the_full_grid_bitwise(
+            seed in 0u64..u64::MAX,
+            size in 1usize..40,
+            dst_size in 1usize..40,
+        ) {
+            let image = stress_image(seed, size * size * CHANNELS);
+            let full = pixel_features(&image, size);
+            let picks = NearestPicks::new(size, dst_size);
+            let p = picks.picks();
+            let expected: Vec<f64> = p
+                .iter()
+                .flat_map(|&r| p.iter().map(move |&c| r * size + c))
+                .flat_map(|i| full[i * FEATURE_DIM..(i + 1) * FEATURE_DIM].iter().copied())
+                .collect();
+            prop_assert!(
+                same_bits(&pixel_features_at(&image, size, p), &expected),
+                "{size} px features at {dst_size} picks drifted"
             );
         }
     }

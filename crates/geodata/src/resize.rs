@@ -156,6 +156,29 @@ fn bilinear(src: &[f32], src_size: usize, channels: usize, dst_size: usize) -> V
     out
 }
 
+/// The nearest-neighbor source of each destination index along one axis
+/// of a `src_size` -> `dst_size` mask resize:
+/// `min(floor((d + 0.5) * src_size / dst_size), src_size - 1)`, which is
+/// non-decreasing in `d`. Masks are square, so rows and columns share one
+/// table.
+fn nearest_sources(src_size: usize, dst_size: usize) -> Vec<usize> {
+    let scale = src_size as f64 / dst_size as f64;
+    (0..dst_size)
+        .map(|d| (((d as f64 + 0.5) * scale) as usize).min(src_size - 1))
+        .collect()
+}
+
+/// The square mask `out[i * k + j] = src[axis[i] * size + axis[j]]`,
+/// `k = axis.len()`, gathered from a `size` x `size` mask.
+fn gather_mask(src: &[bool], size: usize, axis: &[usize]) -> Vec<bool> {
+    let mut out = Vec::with_capacity(axis.len() * axis.len());
+    for &r in axis {
+        let row = &src[r * size..(r + 1) * size];
+        out.extend(axis.iter().map(|&c| row[c]));
+    }
+    out
+}
+
 /// Resizes a boolean mask with nearest-neighbor sampling. Used to carry
 /// predictions made at model input resolution back to a tile's native
 /// resolution (and truth masks the other way).
@@ -169,16 +192,63 @@ pub fn resize_mask(src: &[bool], src_size: usize, dst_size: usize) -> Vec<bool> 
     if dst_size == src_size {
         return src.to_vec();
     }
-    let scale = src_size as f64 / dst_size as f64;
-    let mut out = vec![false; dst_size * dst_size];
-    for dr in 0..dst_size {
-        let sr = (((dr as f64 + 0.5) * scale) as usize).min(src_size - 1);
-        for dc in 0..dst_size {
-            let sc = (((dc as f64 + 0.5) * scale) as usize).min(src_size - 1);
-            out[dr * dst_size + dc] = src[sr * src_size + sc];
-        }
+    gather_mask(src, src_size, &nearest_sources(src_size, dst_size))
+}
+
+/// The source pixels a `src_size` -> `dst_size` [`resize_mask`] reads,
+/// so a mask can be computed at those pixels alone. Along each axis the
+/// resize reads the distinct entries of its nearest-source table: all
+/// `src_size` indices when `src_size <= dst_size`, and `dst_size`
+/// strictly increasing ones when it downscales. Tile prediction uses
+/// this to classify only the model pixels its native mask keeps.
+#[derive(Debug, Clone)]
+pub struct NearestPicks {
+    /// The distinct source indices of the table, ascending.
+    picks: Vec<usize>,
+    /// Each destination index's position in `picks`.
+    slots: Vec<usize>,
+}
+
+impl NearestPicks {
+    /// The picks of a `src_size` -> `dst_size` mask resize.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either size is zero.
+    pub fn new(src_size: usize, dst_size: usize) -> NearestPicks {
+        assert!(src_size > 0 && dst_size > 0, "mask sizes must be positive");
+        let mut picks: Vec<usize> = Vec::with_capacity(src_size.min(dst_size));
+        let slots = nearest_sources(src_size, dst_size)
+            .into_iter()
+            .map(|s| {
+                if picks.last() != Some(&s) {
+                    picks.push(s);
+                }
+                picks.len() - 1
+            })
+            .collect();
+        NearestPicks { picks, slots }
     }
-    out
+
+    /// The source indices read along each axis, ascending. The pixels a
+    /// resize reads are this list crossed with itself.
+    pub fn picks(&self) -> &[usize] {
+        &self.picks
+    }
+
+    /// The destination mask, from the source mask's values at the picked
+    /// pixels only: `kept` holds them row-major over the pick grid
+    /// (`picks().len()` squared). Equal to [`resize_mask`] of any source
+    /// mask that agrees with `kept` there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kept` does not hold one value per picked pixel.
+    pub fn expand(&self, kept: &[bool]) -> Vec<bool> {
+        let k = self.picks.len();
+        assert_eq!(kept.len(), k * k, "kept mask length mismatch");
+        gather_mask(kept, k, &self.slots)
+    }
 }
 
 #[cfg(test)]
@@ -263,6 +333,63 @@ pub(crate) mod tests {
             }
         }
         out
+    }
+
+    /// The per-pixel nearest-neighbor mask resize the source table
+    /// replaced, kept as the reference it must match exactly.
+    fn reference_resize_mask(src: &[bool], src_size: usize, dst_size: usize) -> Vec<bool> {
+        if dst_size == src_size {
+            return src.to_vec();
+        }
+        let scale = src_size as f64 / dst_size as f64;
+        let mut out = vec![false; dst_size * dst_size];
+        for dr in 0..dst_size {
+            let sr = (((dr as f64 + 0.5) * scale) as usize).min(src_size - 1);
+            for dc in 0..dst_size {
+                let sc = (((dc as f64 + 0.5) * scale) as usize).min(src_size - 1);
+                out[dr * dst_size + dc] = src[sr * src_size + sc];
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn one_source_table_serves_the_resize_and_the_picks() {
+        for src_size in 1..=64usize {
+            let pixels = src_size * src_size;
+            // Bit plane `b` of each pixel's own index: a destination pixel
+            // shows the same value in every plane only if it read the same
+            // source pixel.
+            let planes = (usize::BITS - (pixels - 1).leading_zeros()).max(1);
+            let masks: Vec<Vec<bool>> = (0..planes)
+                .map(|b| (0..pixels).map(|i| (i >> b) & 1 == 1).collect())
+                .collect();
+            for dst_size in 1..=64usize {
+                let picks = NearestPicks::new(src_size, dst_size);
+                let p = picks.picks();
+                if src_size > dst_size {
+                    assert_eq!(p.len(), dst_size, "{src_size} -> {dst_size}");
+                    assert!(
+                        p.windows(2).all(|w| w[0] < w[1]),
+                        "{src_size} -> {dst_size}"
+                    );
+                } else {
+                    assert!(
+                        p.iter().copied().eq(0..src_size),
+                        "{src_size} -> {dst_size}"
+                    );
+                }
+                for mask in &masks {
+                    let reference = reference_resize_mask(mask, src_size, dst_size);
+                    assert_eq!(resize_mask(mask, src_size, dst_size), reference);
+                    let kept: Vec<bool> = p
+                        .iter()
+                        .flat_map(|&r| p.iter().map(move |&c| mask[r * src_size + c]))
+                        .collect();
+                    assert_eq!(picks.expand(&kept), reference, "{src_size} -> {dst_size}");
+                }
+            }
+        }
     }
 
     /// A deterministic image of `len` values: mostly reflectance-like
