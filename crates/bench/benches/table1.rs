@@ -81,8 +81,8 @@ fn main() {
         let ratio = ((arch.hidden_units() / 3).max(3)) as f64 / arch.hidden_units() as f64;
         // The quantized path runs the same MAC structure, so its ops
         // ratio is the specialized ratio scaled by the integer-op cost —
-        // the same factor `ModelArch::relative_ops_quantized` applies to
-        // the full architecture.
+        // the same factor `SpecializedModel::effective_ops_ratio` applies
+        // when the runtime prices a quantized model.
         let quantized_ratio = ratio * INT_OP_COST;
         let cells: Vec<String> = HwTarget::ALL
             .iter()

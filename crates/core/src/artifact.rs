@@ -625,8 +625,11 @@ mod tests {
         let artifacts = Transformation::new(KodanConfig::fast(7))
             .run(&dataset, ModelArch::MobileNetV2DilatedC1)
             .expect("transformation succeeds");
-        let selection =
-            artifacts.select_for_target(HwTarget::OrinAgx15W, Duration::from_seconds(22.0));
+        let selection = artifacts.select_with_capacity(
+            HwTarget::OrinAgx15W,
+            Duration::from_seconds(22.0),
+            0.21,
+        );
         (artifacts, selection)
     }
 

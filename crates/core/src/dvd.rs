@@ -79,31 +79,14 @@ impl DownlinkAccounting {
     /// Fraction of *observed high-value data* that reaches the ground —
     /// the metric of the paper's Figure 5.
     pub fn observed_hv_downlinked(&self) -> f64 {
-        if self.observed_value_px <= 0.0 {
-            return 0.0;
-        }
-        self.downlinked_value_px() / self.observed_value_px
+        ratio(self.downlinked_value_px(), self.observed_value_px)
     }
 
     /// Fraction of the downlink capacity actually used. A degenerate
     /// zero-capacity link reports 0.0 rather than NaN so the ratio stays
     /// safe to aggregate and serialize.
     pub fn capacity_utilization(&self) -> f64 {
-        if self.capacity_px <= 0.0 {
-            return 0.0;
-        }
-        self.downlinked_px() / self.capacity_px
-    }
-
-    /// Precision of the produced stream before capacity thinning:
-    /// high-value fraction of what the policy chose to send. A policy
-    /// that produced nothing reports 0.0 rather than NaN, matching the
-    /// other ratio accessors.
-    pub fn produced_precision(&self) -> f64 {
-        if self.produced_px <= 0.0 {
-            return 0.0;
-        }
-        self.produced_value_px / self.produced_px
+        ratio(self.downlinked_px(), self.capacity_px)
     }
 }
 
@@ -181,17 +164,7 @@ mod tests {
         assert_eq!(a.capacity_utilization(), 0.0);
         assert_eq!(a.downlinked_value_px(), 0.0);
         assert_eq!(a.observed_hv_downlinked(), 0.0);
-        assert_eq!(a.produced_precision(), 0.0);
         assert!(a.capacity_utilization().is_finite());
-        assert!(a.produced_precision().is_finite());
-    }
-
-    #[test]
-    fn produced_precision_reflects_the_policy() {
-        let mut a = base();
-        a.produced_px = 200.0;
-        a.produced_value_px = 186.0;
-        assert!((a.produced_precision() - 0.93).abs() < 1e-12);
     }
 
     #[test]

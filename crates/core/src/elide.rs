@@ -7,6 +7,7 @@
 //! module defines the action vocabulary and the per-action outcome
 //! estimates the optimizer consumes.
 
+use crate::dvd::ratio;
 use kodan_cote::time::Duration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -90,23 +91,19 @@ impl ActionOutcome {
         cm: &kodan_ml::eval::ConfusionMatrix,
         time: Duration,
     ) -> ActionOutcome {
-        let total = cm.total().max(1) as f64;
+        let total = cm.total() as f64;
         ActionOutcome {
             action: Action::Process { model_index },
             extra_time: time,
-            sent_fraction: (cm.tp + cm.fp) as f64 / total,
-            value_fraction: cm.tp as f64 / total,
+            sent_fraction: ratio((cm.tp + cm.fp) as f64, total),
+            value_fraction: ratio(cm.tp as f64, total),
         }
     }
 
     /// Expected precision of what this action downlinks (value per sent
     /// bit); 0 if nothing is sent.
     pub fn precision(&self) -> f64 {
-        if self.sent_fraction <= 0.0 {
-            0.0
-        } else {
-            self.value_fraction / self.sent_fraction
-        }
+        ratio(self.value_fraction, self.sent_fraction)
     }
 }
 

@@ -10,6 +10,7 @@
 //! trained for a sibling context, a cost the evaluation captures.
 
 use crate::context::{ContextId, ContextSet};
+use crate::dvd::ratio;
 use crate::KodanError;
 use kodan_geodata::tile::TileImage;
 use kodan_ml::metrics::DistanceMetric;
@@ -94,11 +95,7 @@ impl ContextEngine {
             centroids,
             train_agreement: 0.0,
         };
-        let agree = tiles
-            .iter()
-            .filter(|t| engine.classify(t) == contexts.classify_truth(t))
-            .count();
-        engine.train_agreement = agree as f64 / tiles.len() as f64;
+        engine.train_agreement = engine.agreement_on(tiles, contexts);
         engine
     }
 
@@ -117,27 +114,24 @@ impl ContextEngine {
         ContextId(best)
     }
 
-    /// Agreement with the truth partition measured on the training tiles.
-    pub fn train_agreement(&self) -> f64 {
-        self.train_agreement
-    }
-
     /// Agreement with the truth partition on held-out tiles.
     pub fn agreement_on(&self, tiles: &[TileImage], contexts: &ContextSet) -> f64 {
-        if tiles.is_empty() {
-            return 0.0;
-        }
-        let agree = tiles
-            .iter()
-            .filter(|t| self.classify(t) == contexts.classify_truth(t))
-            .count();
-        agree as f64 / tiles.len() as f64
+        agreement(tiles, contexts, |t| self.classify(t))
     }
+}
 
-    /// Number of contexts this engine distinguishes.
-    pub fn context_count(&self) -> usize {
-        self.centroids.len()
-    }
+/// The fraction of `tiles` that `classify` routes to their truth
+/// context; 0.0 for no tiles.
+fn agreement(
+    tiles: &[TileImage],
+    contexts: &ContextSet,
+    classify: impl Fn(&TileImage) -> ContextId,
+) -> f64 {
+    let agree = tiles
+        .iter()
+        .filter(|t| classify(t) == contexts.classify_truth(t))
+        .count();
+    ratio(agree as f64, tiles.len() as f64)
 }
 
 /// The expert (map-based) context engine: classifies a tile from the
@@ -188,14 +182,7 @@ impl ExpertMapEngine {
 
     /// Agreement with the truth partition on a tile set.
     pub fn agreement_on(&self, tiles: &[TileImage], contexts: &ContextSet) -> f64 {
-        if tiles.is_empty() {
-            return 0.0;
-        }
-        let agree = tiles
-            .iter()
-            .filter(|t| self.classify(t) == contexts.classify_truth(t))
-            .count();
-        agree as f64 / tiles.len() as f64
+        agreement(tiles, contexts, |t| self.classify(t))
     }
 }
 
@@ -308,11 +295,11 @@ mod tests {
         let (train_tiles, _, contexts) = setup();
         let engine = ContextEngine::train(&train_tiles, &contexts);
         assert!(
-            engine.train_agreement() > 0.6,
+            engine.train_agreement > 0.6,
             "train agreement = {}",
-            engine.train_agreement()
+            engine.train_agreement
         );
-        assert_eq!(engine.context_count(), 3);
+        assert_eq!(engine.centroids.len(), 3);
     }
 
     #[test]

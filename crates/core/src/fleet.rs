@@ -17,12 +17,17 @@
 //!   join, so fleet snapshots are byte-identical at any `--workers`
 //!   count. Per-satellite rendering and frame processing stay serial —
 //!   no nested parallelism, no interleaving to reason about.
-//! - **Results never accumulate unboundedly.** Each satellite emits a
-//!   compact journal ([`combine::JournalRecord`]); journals stream
-//!   through a [`combine::SpillCombiner`] that buffers up to a byte
-//!   budget and spills sorted runs into the artifact store, then
-//!   merge-reduces the runs straight into the [`FleetReport`]. Peak
-//!   memory is the memtable budget, not the fleet size.
+//! - **The combine is bounded; the collection is not.** Each satellite
+//!   emits a compact journal ([`combine::JournalRecord`]), and
+//!   `par_map_recorded` returns every satellite's journal before the
+//!   combine ingests one record (with an enabled recorder and more than
+//!   one worker, every satellite's telemetry tape is held too), so that
+//!   memory grows with the fleet: 987 records, 94,752 bytes, on the
+//!   committed 24-satellite day (`BENCH_fleet_streaming.json`). The
+//!   journals then stream through a [`combine::SpillCombiner`] that
+//!   buffers up to a byte budget and spills sorted runs into the
+//!   artifact store, then merge-reduces the runs straight into the
+//!   [`FleetReport`]. Only the combiner's memtable peaks at its budget.
 
 pub mod combine;
 

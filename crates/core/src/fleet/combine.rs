@@ -162,11 +162,6 @@ impl SpillCombiner {
         }
     }
 
-    /// Current memtable occupancy, bytes.
-    pub fn memtable_bytes(&self) -> u64 {
-        self.memtable_bytes
-    }
-
     /// Buffers one record, spilling the memtable first if the record
     /// would push it past the budget (spill-before-exceed, so the peak
     /// never crosses the budget).
@@ -240,11 +235,6 @@ impl SpillCombiner {
         report.transmitted_density = ratio(report.sent_value_px, report.sent_px);
         report.spill = self.stats;
         Ok(report)
-    }
-
-    /// The manifest entries of every spilled run, in spill order.
-    pub fn runs(&self) -> &[ManifestEntry] {
-        &self.runs
     }
 }
 

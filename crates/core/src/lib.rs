@@ -42,9 +42,10 @@
 //! let artifacts = Transformation::new(config)
 //!     .run(&dataset, ModelArch::MobileNetV2DilatedC1)
 //!     .expect("transformation succeeds");
-//! let logic = artifacts.select_for_target(
+//! let logic = artifacts.select_with_capacity(
 //!     HwTarget::OrinAgx15W,
 //!     kodan_cote::time::Duration::from_seconds(22.0),
+//!     0.21, // downlink capacity / observed data, as for Landsat
 //! );
 //! println!("selected {} tiles/frame", logic.tiles_per_frame());
 //! ```

@@ -451,10 +451,10 @@ impl<'a> Mission<'a> {
         total: &FrameOutcome,
         mean_frame_time: Duration,
     ) -> MissionReport {
-        let sent_fraction = total.sent_px as f64 / total.observed_px.max(1) as f64;
-        let value_fraction = total.value_px as f64 / total.observed_px.max(1) as f64;
-        let hv_prevalence =
-            total.observed_value_px as f64 / total.observed_px.max(1) as f64;
+        let observed_px = total.observed_px as f64;
+        let sent_fraction = ratio(total.sent_px as f64, observed_px);
+        let value_fraction = ratio(total.value_px as f64, observed_px);
+        let hv_prevalence = ratio(total.observed_value_px as f64, observed_px);
 
         let processed_fraction = if system == SystemKind::BentPipe {
             1.0

@@ -23,7 +23,7 @@
 use crate::config::{ContextGenerationKind, KodanConfig};
 use crate::context::{ContextId, ContextSet};
 use crate::engine::ContextEngine;
-use crate::selection::{SelectionLogic, DEFAULT_CAPACITY_FRACTION};
+use crate::selection::SelectionLogic;
 use crate::specialize::{ModelScope, SpecializedModel};
 use crate::KodanError;
 use kodan_cote::time::Duration;
@@ -141,12 +141,6 @@ pub struct TransformationArtifacts {
 }
 
 impl TransformationArtifacts {
-    /// Derives the selection logic for a hardware target using the
-    /// default Landsat-like downlink capacity fraction.
-    pub fn select_for_target(&self, target: HwTarget, deadline: Duration) -> SelectionLogic {
-        SelectionLogic::build(self, target, deadline, DEFAULT_CAPACITY_FRACTION)
-    }
-
     /// Derives the selection logic with an explicit capacity fraction
     /// (downlink capacity / observed data volume).
     pub fn select_with_capacity(
@@ -187,11 +181,6 @@ impl Transformation {
     pub fn new(config: KodanConfig) -> Transformation {
         config.validate();
         Transformation { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &KodanConfig {
-        &self.config
     }
 
     /// Runs the one-time transformation for a reference application.
@@ -608,7 +597,7 @@ mod tests {
     fn selection_logic_derivable_for_every_target() {
         let a = artifacts();
         for target in HwTarget::ALL {
-            let logic = a.select_for_target(target, Duration::from_seconds(22.0));
+            let logic = a.select_with_capacity(target, Duration::from_seconds(22.0), 0.21);
             assert!(logic.tiles_per_frame() >= 9);
             assert_eq!(logic.actions().len(), a.contexts.len());
             assert!(logic.estimate().dvd > 0.0);
@@ -619,8 +608,8 @@ mod tests {
     fn constrained_target_picks_cheaper_configuration() {
         let a = artifacts();
         let deadline = Duration::from_seconds(22.0);
-        let orin = a.select_for_target(HwTarget::OrinAgx15W, deadline);
-        let gpu = a.select_for_target(HwTarget::Gtx1070Ti, deadline);
+        let orin = a.select_with_capacity(HwTarget::OrinAgx15W, deadline, 0.21);
+        let gpu = a.select_with_capacity(HwTarget::Gtx1070Ti, deadline, 0.21);
         // The Orin must be at or below the GPU's frame time in relative
         // terms: its selected configuration cannot be *more* aggressive
         // than the GPU's in tile count when compute is the bottleneck.
@@ -695,7 +684,8 @@ mod tests {
             .expect("transformation succeeds");
         assert!(a.contexts.expert_surface_map().is_some());
         assert!(a.contexts.len() >= 2);
-        let logic = a.select_for_target(HwTarget::OrinAgx15W, Duration::from_seconds(22.0));
+        let logic =
+            a.select_with_capacity(HwTarget::OrinAgx15W, Duration::from_seconds(22.0), 0.21);
         assert_eq!(logic.actions().len(), a.contexts.len());
     }
 

@@ -40,6 +40,7 @@
 pub mod contact;
 pub mod thermal;
 
+use crate::dvd::ratio;
 use contact::ContactSchedule;
 use kodan_cote::time::Duration;
 use kodan_hw::latency::LatencyModel;
@@ -202,21 +203,15 @@ impl PlacementLedger {
     /// Fraction of the energy budget left unspent, in `[0, 1]`; `0.0`
     /// when no energy was available at all.
     pub fn energy_headroom(&self) -> f64 {
-        if self.energy_available_j > 0.0 {
-            ((self.energy_available_j - self.energy_used_j) / self.energy_available_j).max(0.0)
-        } else {
-            0.0
-        }
+        let left = self.energy_available_j - self.energy_used_j;
+        ratio(left, self.energy_available_j).max(0.0)
     }
 
     /// Fraction of the contact capacity left unspent, in `[0, 1]`;
     /// `0.0` when no capacity existed.
     pub fn contact_headroom(&self) -> f64 {
-        if self.contact_capacity_px > 0.0 {
-            ((self.contact_capacity_px - self.contact_used_px) / self.contact_capacity_px).max(0.0)
-        } else {
-            0.0
-        }
+        let left = self.contact_capacity_px - self.contact_used_px;
+        ratio(left, self.contact_capacity_px).max(0.0)
     }
 }
 
@@ -398,11 +393,6 @@ impl ExecutionPlanner {
             frame_deadline,
             capacity_fraction,
         }
-    }
-
-    /// The config in force.
-    pub fn config(&self) -> &PlanConfig {
-        &self.config
     }
 
     /// Places every frame of a window, one placement per estimate.

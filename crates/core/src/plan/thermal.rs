@@ -80,11 +80,6 @@ impl ThermalState {
         }
     }
 
-    /// Current temperature rise above ambient, kelvin.
-    pub fn temperature_k(&self) -> f64 {
-        self.temperature_k
-    }
-
     /// Highest temperature rise seen so far, kelvin.
     pub fn peak_k(&self) -> f64 {
         self.peak_k
@@ -137,12 +132,12 @@ mod tests {
             state.advance(&cfg, FRAME_J, PERIOD_S);
         }
         assert!(
-            state.temperature_k() > cfg.throttle_onset_k,
+            state.temperature_k > cfg.throttle_onset_k,
             "sustained frames settle above onset: {} K",
-            state.temperature_k()
+            state.temperature_k
         );
         assert_eq!(state.throttle(&cfg), cfg.throttle_factor);
-        assert!(state.peak_k() >= state.temperature_k());
+        assert!(state.peak_k() >= state.temperature_k);
     }
 
     #[test]
@@ -174,12 +169,12 @@ mod tests {
         for _ in 0..48 {
             state.advance(&cfg, FRAME_J, PERIOD_S);
         }
-        let hot = state.temperature_k();
+        let hot = state.temperature_k;
         for _ in 0..8 {
             state.advance(&cfg, 0.0, PERIOD_S);
         }
-        assert!(state.temperature_k() < hot, "idle periods must cool");
-        assert!(state.temperature_k() > 0.0, "decay is asymptotic, not a reset");
+        assert!(state.temperature_k < hot, "idle periods must cool");
+        assert!(state.temperature_k > 0.0, "decay is asymptotic, not a reset");
     }
 
     #[test]
@@ -192,7 +187,7 @@ mod tests {
         };
         let mut state = ThermalState::new();
         state.advance(&cfg, 1000.0, -10.0);
-        assert_eq!(state.temperature_k(), 0.0, "negative constants clamp to inert");
+        assert_eq!(state.temperature_k, 0.0, "negative constants clamp to inert");
         // A sub-1.0 throttle factor can never speed compute up.
         let hot = ThermalState {
             temperature_k: 10.0,

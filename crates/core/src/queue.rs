@@ -7,6 +7,7 @@
 //! preferentially preserve high-value data. The day that fills and
 //! drains it pass by pass is [`crate::replay::DayReplay`].
 
+use crate::dvd::ratio;
 use crate::KodanError;
 use serde::{Deserialize, Serialize};
 
@@ -36,11 +37,7 @@ impl QueueEntry {
 
     /// Value density of the entry in `[0, 1]`.
     pub fn density(&self) -> f64 {
-        if self.bits <= 0.0 {
-            0.0
-        } else {
-            self.value_bits / self.bits
-        }
+        ratio(self.value_bits, self.bits)
     }
 }
 
@@ -106,16 +103,6 @@ impl DownlinkQueue {
     /// Current occupancy, bits.
     pub fn occupied_bits(&self) -> f64 {
         self.occupied_bits
-    }
-
-    /// Storage bound, bits.
-    pub fn storage_bits(&self) -> f64 {
-        self.storage_bits
-    }
-
-    /// Number of queued entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 
     /// True if nothing is queued.

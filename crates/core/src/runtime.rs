@@ -29,6 +29,7 @@
 //! is what makes any recorder (summary, tape, trace, flight) see the
 //! serial event order regardless of `workers`.
 
+use crate::dvd::ratio;
 use crate::elide::Action;
 use crate::engine::EngineKind;
 use crate::par::par_map_recorded;
@@ -79,32 +80,14 @@ pub struct FrameOutcome {
 impl FrameOutcome {
     /// Precision of what this frame contributed to the downlink queue.
     pub fn precision(&self) -> f64 {
-        if self.sent_px == 0 {
-            0.0
-        } else {
-            self.value_px as f64 / self.sent_px as f64
-        }
-    }
-
-    /// Fraction of the genuinely high-value pixels that were actually
-    /// sent; `0.0` when the frame observed no high-value pixels.
-    pub fn recall(&self) -> f64 {
-        if self.observed_value_px == 0 {
-            0.0
-        } else {
-            self.value_px as f64 / self.observed_value_px as f64
-        }
+        ratio(self.value_px as f64, self.sent_px as f64)
     }
 
     /// Fraction of tiles resolved without model inference; `0.0` when no
     /// tiles were seen (empty or untiled frame).
     pub fn elision_fraction(&self) -> f64 {
         let total_tiles = self.tiles_elided + self.tiles_processed;
-        if total_tiles == 0 {
-            0.0
-        } else {
-            self.tiles_elided as f64 / total_tiles as f64
-        }
+        ratio(self.tiles_elided as f64, total_tiles as f64)
     }
 
     /// Folds `other` into this aggregate. Callers must absorb outcomes
@@ -233,22 +216,12 @@ impl Runtime {
         self
     }
 
-    /// The armed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| &f.plan)
-    }
-
     /// Pins the worker count used by [`Runtime::process_frames`]; `0`
     /// means auto-detect. Worker count only changes wall-clock time —
     /// outcomes and telemetry are bit-identical for any value.
     pub fn with_workers(mut self, workers: usize) -> Runtime {
         self.workers = resolve_workers(workers);
         self
-    }
-
-    /// The resolved worker count for frame-batch processing.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// The selection logic in force.
@@ -571,11 +544,11 @@ impl Runtime {
     }
 
     /// Processes `frames` (frame `i` at index `i`, see
-    /// [`Runtime::process_frame_indexed`]) across [`Runtime::workers`]
-    /// threads and returns the outcomes in frame order. Per-worker
-    /// telemetry tapes are replayed in the same order, so outcomes and
-    /// `recorder` are bit-identical to a serial run; fold the outcomes
-    /// with [`FrameOutcome::total_and_mean`].
+    /// [`Runtime::process_frame_indexed`]) across the workers set by
+    /// [`Runtime::with_workers`] and returns the outcomes in frame
+    /// order. Per-worker telemetry tapes are replayed in the same order,
+    /// so outcomes and `recorder` are bit-identical to a serial run; fold
+    /// the outcomes with [`FrameOutcome::total_and_mean`].
     pub fn process_frames(
         &self,
         frames: &[FrameImage],
@@ -706,9 +679,10 @@ mod tests {
         let artifacts = Transformation::new(KodanConfig::fast(3))
             .run(&dataset, ModelArch::MobileNetV2DilatedC1)
             .expect("transformation succeeds");
-        let logic = artifacts.select_for_target(
+        let logic = artifacts.select_with_capacity(
             HwTarget::OrinAgx15W,
             Duration::from_seconds(22.0),
+            0.21,
         );
         let runtime = Runtime::new(logic, artifacts.engine.clone());
         let frames: Vec<FrameImage> = (0..4)
@@ -836,9 +810,7 @@ mod tests {
     #[test]
     fn ratio_helpers_guard_zero_denominators() {
         let empty = FrameOutcome::default();
-        assert_eq!(empty.recall(), 0.0);
         assert_eq!(empty.elision_fraction(), 0.0);
-        assert!(empty.recall().is_finite());
         assert!(empty.elision_fraction().is_finite());
         let busy = FrameOutcome {
             sent_px: 40,
@@ -848,7 +820,6 @@ mod tests {
             tiles_processed: 1,
             ..FrameOutcome::default()
         };
-        assert!((busy.recall() - 0.5).abs() < 1e-12);
         assert!((busy.elision_fraction() - 0.75).abs() < 1e-12);
     }
 
@@ -891,7 +862,7 @@ mod tests {
         let (base_total, base_mean) = FrameOutcome::total_and_mean(&base_outcomes);
         for workers in [2, 3, 4] {
             let parallel = runtime.clone().with_workers(workers);
-            assert_eq!(parallel.workers(), workers);
+            assert_eq!(parallel.workers, workers);
             let outcomes = parallel.process_frames(&frames, &mut NullRecorder);
             let (total, mean) = FrameOutcome::total_and_mean(&outcomes);
             // Bitwise equality, not epsilon: the index-ordered fold must

@@ -25,11 +25,6 @@ use kodan_ml::zoo::ModelArch;
 use kodan_wire::{Dec, Decode, Enc, Encode, WireError};
 use serde::{Deserialize, Serialize};
 
-/// Downlink capacity as a fraction of observed data, used when the
-/// caller does not supply a mission-specific value. Matches the paper's
-/// Landsat analysis (a bent pipe downlinks ~21 % of observations).
-pub const DEFAULT_CAPACITY_FRACTION: f64 = 0.21;
-
 /// Minimum high-value fraction for a context to be eligible for
 /// downlink elision. The paper elides only for contexts "almost
 /// entirely" high-value; gating also keeps the optimizer from
@@ -360,11 +355,6 @@ impl SelectionLogic {
         self.target
     }
 
-    /// The frame deadline the logic was optimized for.
-    pub fn deadline(&self) -> Duration {
-        self.deadline
-    }
-
     /// The optimizer's estimate of deployed behavior.
     pub fn estimate(&self) -> &SelectionEstimate {
         &self.estimate
@@ -527,26 +517,28 @@ fn optimize_actions(
             }
         }
     } else {
-        // Coordinate ascent from the all-global-model start (option 0).
+        // Coordinate ascent from the all-global-model start (option 0):
+        // each context keeps the best option seen in its sweep.
         let mut choice: Vec<usize> = vec![0; k];
         let mut best_score = score(&choice);
         for _ in 0..8 {
             let mut improved = false;
             for c in 0..k {
-                let original = choice[c];
+                let start = choice[c];
+                let mut kept = start;
                 for o in 0..options[c].len() {
-                    if o == original {
+                    if o == start {
                         continue;
                     }
                     choice[c] = o;
                     let s = score(&choice);
                     if s > best_score {
                         best_score = s;
+                        kept = o;
                         improved = true;
-                    } else {
-                        choice[c] = original;
                     }
                 }
+                choice[c] = kept;
             }
             if !improved {
                 break;
@@ -812,5 +804,59 @@ mod tests {
             0.2,
         );
         assert_eq!(chosen[0].1, 2);
+    }
+
+    #[test]
+    fn coordinate_ascent_keeps_each_accepted_option() {
+        // 4^10 policies overrun the enumeration limit, so this runs the
+        // coordinate ascent. Option 1 is best in every context; options
+        // 2 and 3 are tried after it and score worse.
+        let options: Vec<Vec<ActionOutcome>> = (0..10)
+            .map(|_| {
+                vec![
+                    ActionOutcome::downlink(0.5),
+                    ActionOutcome::downlink(0.9),
+                    ActionOutcome::downlink(0.7),
+                    ActionOutcome::discard(),
+                ]
+            })
+            .collect();
+        let weights = vec![0.1; 10];
+        let (latency, deadline) = (latency(), Duration::from_seconds(22.0));
+        let score = |picks: &[usize]| {
+            let outcomes: Vec<(usize, ActionOutcome)> = picks
+                .iter()
+                .enumerate()
+                .map(|(c, &o)| (c, options[c][o]))
+                .collect();
+            selection_score(&estimate_policy(
+                &outcomes, &weights, 9, &latency, deadline, 0.2,
+            ))
+        };
+        let chosen = optimize_actions(&options, &weights, 9, &latency, deadline, 0.2);
+        let picks: Vec<usize> = chosen.iter().map(|&(_, o)| o).collect();
+        assert_eq!(
+            chosen.iter().map(|&(c, _)| c).collect::<Vec<_>>(),
+            (0..10).collect::<Vec<_>>(),
+            "one pair per context, in context order"
+        );
+        assert!(picks.iter().all(|&o| o < 4), "{picks:?}");
+        let found = score(&picks);
+        assert!(
+            found > score(&[0; 10]),
+            "no better than the start: {picks:?}"
+        );
+        // A local optimum: no single-context change scores higher.
+        for c in 0..10 {
+            for o in 0..4 {
+                let mut neighbour = picks.clone();
+                neighbour[c] = o;
+                assert!(
+                    score(&neighbour) <= found,
+                    "context {c} improves with option {o}"
+                );
+            }
+        }
+        assert_eq!(picks, vec![1; 10]);
     }
 }

@@ -117,11 +117,6 @@ impl SpecializedModel {
         }
     }
 
-    /// The architecture this model derives from.
-    pub fn arch(&self) -> ModelArch {
-        self.arch
-    }
-
     /// The model's scope.
     pub fn scope(&self) -> &ModelScope {
         &self.scope
@@ -580,7 +575,7 @@ mod tests {
                             model.predict_tile(t),
                             reference_predict_tile(model, t),
                             "{:?} (quantized: {}) drifted on a {n}-px tile",
-                            model.arch(),
+                            model.arch,
                             model.is_quantized()
                         );
                     }

@@ -12,8 +12,8 @@ use std::f64::consts::TAU;
 ///   evenly phased (the configuration behind Figure 2, where additional
 ///   satellites claim idle ground-station time until the downlink
 ///   saturates).
-/// - [`Constellation::walker`]: satellites spread over several planes
-///   (used for the coverage analysis behind Figure 3).
+/// - [`Constellation::spread`]: one plane per satellite with staggered
+///   phases (used for the coverage analysis behind Figure 3).
 ///
 /// # Example
 ///
@@ -52,30 +52,6 @@ impl Constellation {
         Constellation { satellites }
     }
 
-    /// A Walker-delta-like constellation: `planes` planes evenly spread in
-    /// RAAN, `per_plane` satellites evenly phased in each plane, with an
-    /// inter-plane phasing offset of `phase_step` fractions of a slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `planes` or `per_plane` is zero.
-    pub fn walker(base: Orbit, planes: usize, per_plane: usize, phase_step: f64) -> Constellation {
-        assert!(planes > 0 && per_plane > 0, "empty constellation");
-        let mut satellites = Vec::with_capacity(planes * per_plane);
-        for p in 0..planes {
-            let raan = base.elements().raan + TAU * (p as f64) / (planes as f64);
-            for s in 0..per_plane {
-                let slot = TAU / (per_plane as f64);
-                let phase = slot * (s as f64) + slot * phase_step * (p as f64);
-                satellites.push(
-                    base.with_raan(raan)
-                        .with_mean_anomaly(base.elements().mean_anomaly + phase),
-                );
-            }
-        }
-        Constellation { satellites }
-    }
-
     /// `count` satellites spread to maximize coverage: as many planes as
     /// satellites, with staggered phases. This approximates how commercial
     /// imaging constellations (Planet's "Dove" flocks) distribute over
@@ -109,11 +85,6 @@ impl Constellation {
     pub fn is_empty(&self) -> bool {
         self.satellites.is_empty()
     }
-
-    /// Iterates over satellite orbits.
-    pub fn iter(&self) -> std::slice::Iter<'_, Orbit> {
-        self.satellites.iter()
-    }
 }
 
 impl<'a> IntoIterator for &'a Constellation {
@@ -140,7 +111,11 @@ mod tests {
         for orbit in &c {
             assert_eq!(orbit.elements().raan, raan0);
         }
-        let phases: Vec<f64> = c.iter().map(|o| o.elements().mean_anomaly).collect();
+        let phases: Vec<f64> = c
+            .orbits()
+            .iter()
+            .map(|o| o.elements().mean_anomaly)
+            .collect();
         for pair in phases.windows(2) {
             let gap = (pair[1] - pair[0]).rem_euclid(TAU);
             assert!((gap - TAU / 4.0).abs() < 1e-9);
@@ -154,24 +129,14 @@ mod tests {
         let p0 = propagate(&c.orbits()[0], t).position;
         let p1 = propagate(&c.orbits()[1], t).position;
         // Quarter-orbit separation at LEO is thousands of km.
-        assert!(p0.distance(p1) > 1.0e6);
-    }
-
-    #[test]
-    fn walker_populates_all_planes() {
-        let c = Constellation::walker(base(), 3, 4, 0.5);
-        assert_eq!(c.len(), 12);
-        let mut raans: Vec<f64> = c.iter().map(|o| o.elements().raan).collect();
-        raans.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        raans.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-        assert_eq!(raans.len(), 3);
+        assert!((p0 - p1).norm() > 1.0e6);
     }
 
     #[test]
     fn spread_uses_distinct_planes() {
         let c = Constellation::spread(base(), 10);
         assert_eq!(c.len(), 10);
-        let mut raans: Vec<f64> = c.iter().map(|o| o.elements().raan).collect();
+        let mut raans: Vec<f64> = c.orbits().iter().map(|o| o.elements().raan).collect();
         raans.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for pair in raans.windows(2) {
             assert!((pair[1] - pair[0]).abs() > 1e-6, "planes collide");

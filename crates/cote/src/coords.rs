@@ -164,14 +164,9 @@ pub fn ecef_to_geodetic(r: Vec3) -> Geodetic {
     Geodetic::new(lat, longitude, alt)
 }
 
-/// Elevation angle, radians, of a target (ECEF, meters) as seen from an
-/// observer at a geodetic site. Positive means above the local horizon.
-pub fn elevation_angle(site: &Geodetic, target_ecef: Vec3) -> f64 {
-    elevation_from(site.to_ecef(), site.up(), target_ecef).0
-}
-
-/// [`elevation_angle`] from a site's precomputed ECEF position and up
-/// vector, with the slant range (meters) it divides by.
+/// Elevation angle, radians, of a target (ECEF, meters) as seen from a
+/// site at `site_ecef` with local `up` vector, positive above the local
+/// horizon, and the slant range (meters) it divides by.
 pub(crate) fn elevation_from(site_ecef: Vec3, up: Vec3, target_ecef: Vec3) -> (f64, f64) {
     let range = target_ecef - site_ecef;
     let slant = range.norm();
@@ -241,14 +236,14 @@ mod tests {
         let epoch = Epoch::mission_start() + crate::time::Duration::from_hours(5.3);
         let r = Vec3::new(7.0e6, -1.0e6, 2.0e6);
         let back = ecef_to_eci(eci_to_ecef(r, epoch), epoch);
-        assert!(r.distance(back) < 1e-6);
+        assert!((r - back).norm() < 1e-6);
     }
 
     #[test]
     fn elevation_straight_up_is_90_degrees() {
         let site = Geodetic::from_degrees(45.0, 10.0, 0.0);
         let overhead = site.to_ecef() + site.up() * 705_000.0;
-        let el = elevation_angle(&site, overhead);
+        let (el, _) = elevation_from(site.to_ecef(), site.up(), overhead);
         assert!((el.to_degrees() - 90.0).abs() < 1e-6);
     }
 
@@ -257,7 +252,7 @@ mod tests {
         let site = Geodetic::from_degrees(0.0, 0.0, 0.0);
         // A point on the opposite side of Earth.
         let antipode = Geodetic::from_degrees(0.0, 180.0, 705_000.0).to_ecef();
-        assert!(elevation_angle(&site, antipode) < 0.0);
+        assert!(elevation_from(site.to_ecef(), site.up(), antipode).0 < 0.0);
     }
 
     #[test]

@@ -31,11 +31,6 @@ impl CoverageReport {
     pub fn coverage_fraction(&self) -> f64 {
         self.unique_scenes as f64 / f64::from(self.total_scenes)
     }
-
-    /// True if every scene was observed at least once.
-    pub fn is_global(&self) -> bool {
-        self.unique_scenes as u32 >= self.total_scenes
-    }
 }
 
 /// Computes the unique-scene coverage of a constellation over `horizon`.
@@ -111,7 +106,6 @@ mod tests {
             (0.01..0.25).contains(&frac),
             "single-satellite daily coverage = {frac}"
         );
-        assert!(!report.is_global());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::fmt;
 /// ```
 /// use kodan_cote::ground::GroundStation;
 /// let gs = GroundStation::new("Svalbard", 78.23, 15.39, 5.0, 384.0e6);
-/// assert_eq!(gs.name(), "Svalbard");
+/// assert_eq!(gs.downlink_rate_bps(), 384.0e6);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GroundStation {
@@ -59,11 +59,6 @@ impl GroundStation {
         }
     }
 
-    /// Station name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Station location.
     pub fn location(&self) -> &Geodetic {
         &self.location
@@ -77,12 +72,6 @@ impl GroundStation {
     /// Sustained downlink rate, bits/second.
     pub fn downlink_rate_bps(&self) -> f64 {
         self.downlink_rate_bps
-    }
-
-    /// True if a satellite at the given ECEF position (meters) is above the
-    /// station's elevation mask.
-    pub fn sees(&self, sat_ecef: Vec3) -> bool {
-        self.elevation_of(sat_ecef) >= self.min_elevation
     }
 
     /// Elevation of the satellite above this station's horizon, radians.
@@ -148,11 +137,6 @@ impl GroundSegment {
         ])
     }
 
-    /// A minimal single-station segment, useful for tests.
-    pub fn single(station: GroundStation) -> GroundSegment {
-        GroundSegment::new(vec![station])
-    }
-
     /// The stations in this segment.
     pub fn stations(&self) -> &[GroundStation] {
         &self.stations
@@ -190,7 +174,6 @@ mod tests {
     fn station_sees_overhead_satellite() {
         let gs = GroundStation::new("Test", 40.0, -100.0, 5.0, 1e8);
         let overhead = gs.location().to_ecef() + gs.location().up() * 705_000.0;
-        assert!(gs.sees(overhead));
         assert!((gs.elevation_of(overhead).to_degrees() - 90.0).abs() < 1e-6);
     }
 
@@ -198,7 +181,7 @@ mod tests {
     fn station_does_not_see_antipodal_satellite() {
         let gs = GroundStation::new("Test", 40.0, -100.0, 5.0, 1e8);
         let antipode = Geodetic::from_degrees(-40.0, 80.0, 705_000.0).to_ecef();
-        assert!(!gs.sees(antipode));
+        assert!(gs.elevation_of(antipode) < gs.min_elevation());
     }
 
     #[test]
@@ -206,7 +189,7 @@ mod tests {
         let seg = GroundSegment::landsat();
         assert_eq!(seg.len(), 5);
         assert!(!seg.is_empty());
-        assert!(seg.iter().any(|s| s.name() == "Svalbard"));
+        assert!(seg.iter().any(|s| s.name == "Svalbard"));
     }
 
     #[test]

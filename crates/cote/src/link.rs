@@ -59,12 +59,6 @@ impl ContactWindow {
         self.end - self.start
     }
 
-    /// Total bits that can be downlinked during this pass at the sustained
-    /// rate.
-    pub fn capacity_bits(&self) -> f64 {
-        self.duration().as_seconds() * self.rate_bps
-    }
-
     /// True if `epoch` falls within the window.
     pub fn contains(&self, epoch: Epoch) -> bool {
         epoch >= self.start && epoch <= self.end
@@ -402,18 +396,6 @@ fn bisect_transition(
     hi
 }
 
-/// Total downlink capacity (bits) of a set of windows.
-pub fn total_capacity_bits(windows: &[ContactWindow]) -> f64 {
-    windows.iter().map(ContactWindow::capacity_bits).sum()
-}
-
-/// Total contact time of a set of windows.
-pub fn total_contact_time(windows: &[ContactWindow]) -> Duration {
-    windows
-        .iter()
-        .fold(Duration::ZERO, |acc, w| acc + w.duration())
-}
-
 /// The scan as it was before [`Reach`] pruned it: each station stepped on
 /// its own through every scan instant, every invisible step probed, and a
 /// fixed 8 degree margin below the mask the only probe prune. Tests hold
@@ -585,20 +567,14 @@ mod tests {
     #[test]
     fn daily_contact_time_is_tens_of_minutes() {
         let windows = landsat_day_windows();
-        let total = total_contact_time(&windows);
+        let total = windows
+            .iter()
+            .fold(Duration::ZERO, |acc, w| acc + w.duration());
         // Five stations, a handful of passes each, minutes per pass.
         assert!(
             (20.0..=500.0).contains(&total.as_minutes()),
             "total contact = {total}"
         );
-    }
-
-    #[test]
-    fn capacity_is_rate_times_duration() {
-        let windows = landsat_day_windows();
-        let w = &windows[0];
-        assert!((w.capacity_bits() - w.duration().as_seconds() * w.rate_bps).abs() < 1.0);
-        assert!(total_capacity_bits(&windows) > 0.0);
     }
 
     #[test]
@@ -673,7 +649,7 @@ mod tests {
         let day = Duration::from_hours(24.0);
         let t0 = orbit.epoch();
         let (station, peak_t) = grazing_station(&orbit, day);
-        let seg = GroundSegment::single(station.clone());
+        let seg = GroundSegment::new(vec![station.clone()]);
         let windows = contact_windows(&orbit, &seg, day);
         let hit = windows
             .iter()
@@ -691,7 +667,8 @@ mod tests {
         while k * SCAN_STEP_SECONDS < (hit.end - t0).as_seconds() + 2.0 * SCAN_STEP_SECONDS {
             let sample = t0 + Duration::from_seconds(k * SCAN_STEP_SECONDS);
             assert!(
-                !station.sees(crate::propagate::position_ecef(&orbit, sample)),
+                station.elevation_of(crate::propagate::position_ecef(&orbit, sample))
+                    < station.min_elevation(),
                 "a 10 s grid sample lands inside the pass; geometry is not grazing"
             );
             k += 1.0;
@@ -707,7 +684,7 @@ mod tests {
     ) -> Vec<ContactWindow> {
         let mut merged: Vec<ContactWindow> = Vec::new();
         for (index, station) in segment.iter().enumerate() {
-            let alone = contact_windows(orbit, &GroundSegment::single(station.clone()), horizon);
+            let alone = contact_windows(orbit, &GroundSegment::new(vec![station.clone()]), horizon);
             merged.extend(alone.into_iter().map(|w| ContactWindow {
                 station: index,
                 ..w
@@ -751,9 +728,9 @@ mod tests {
     #[test]
     fn equatorial_station_and_polar_orbit_still_meet() {
         let orbit = Orbit::sun_synchronous(705_000.0);
-        let seg = GroundSegment::single(crate::ground::GroundStation::new(
+        let seg = GroundSegment::new(vec![crate::ground::GroundStation::new(
             "Equator", 0.0, 0.0, 5.0, 1e8,
-        ));
+        )]);
         let windows = contact_windows(&orbit, &seg, Duration::from_days(2.0));
         // An equatorial station sees a polar LEO a couple of times per day.
         assert!(!windows.is_empty());
@@ -832,7 +809,7 @@ mod tests {
             let elevation = mask + rate * (1.0 - ((t - t0).as_seconds() - 33.0).abs());
             site + (up * elevation.sin() + north * elevation.cos()) * range
         };
-        let segment = GroundSegment::single(station);
+        let segment = GroundSegment::new(vec![station]);
         let horizon = Duration::from_seconds(100.0);
         let windows = scan(&position, range * rate, &segment, t0, horizon);
         assert_eq!(windows.len(), 1);

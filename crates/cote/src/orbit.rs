@@ -148,11 +148,6 @@ impl Orbit {
         Duration::from_seconds(TAU / self.mean_motion())
     }
 
-    /// Altitude above the equatorial radius for a circular orbit, meters.
-    pub fn altitude(&self) -> f64 {
-        self.elements.semi_major_axis * (1.0 - self.elements.eccentricity) - EARTH_RADIUS_EQ
-    }
-
     /// Inertial orbital speed for a circular orbit, m/s.
     pub fn orbital_speed(&self) -> f64 {
         (EARTH_MU / self.elements.semi_major_axis).sqrt()
@@ -221,11 +216,5 @@ mod tests {
         let mut el = *Orbit::sun_synchronous(705_000.0).elements();
         el.eccentricity = 1.5;
         let _ = Orbit::new(el, Epoch::mission_start());
-    }
-
-    #[test]
-    fn altitude_round_trips() {
-        let orbit = Orbit::sun_synchronous(600_000.0);
-        assert!((orbit.altitude() - 600_000.0).abs() < 1e-6);
     }
 }

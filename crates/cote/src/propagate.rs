@@ -237,7 +237,7 @@ mod tests {
         // J2 drifts the node, perigee and mean anomaly during one
         // revolution; the combined displacement is tens of kilometers —
         // small relative to the 7000 km orbit radius.
-        let drift = s0.position.distance(s1.position);
+        let drift = (s0.position - s1.position).norm();
         assert!(drift < 150_000.0, "drift = {drift} m");
         assert!(drift < 0.03 * orbit.elements().semi_major_axis);
     }
@@ -318,8 +318,9 @@ mod tests {
         let mut fastest: f64 = 0.0;
         for k in 0..2000 {
             let t = orbit.epoch() + Duration::from_seconds(k as f64 * stride);
-            let moved = position_ecef(orbit, t + Duration::from_seconds(dt))
-                .distance(position_ecef(orbit, t));
+            let moved = (position_ecef(orbit, t + Duration::from_seconds(dt))
+                - position_ecef(orbit, t))
+            .norm();
             fastest = fastest.max(moved / dt);
         }
         assert!(

@@ -64,21 +64,6 @@ impl Imager {
         Imager::new(150_000.0, 185_000.0, 10_000, 132)
     }
 
-    /// Along-track frame length, meters.
-    pub fn frame_length_m(&self) -> f64 {
-        self.frame_length_m
-    }
-
-    /// Cross-track swath, meters.
-    pub fn swath_m(&self) -> f64 {
-        self.swath_m
-    }
-
-    /// Frame dimension in pixels.
-    pub fn frame_px(&self) -> u32 {
-        self.frame_px
-    }
-
     /// Ground sample distance, meters/pixel (along-track).
     pub fn gsd_m(&self) -> f64 {
         self.frame_length_m / f64::from(self.frame_px)
@@ -210,7 +195,7 @@ mod tests {
             let d = pair[0].center.great_circle_distance(&pair[1].center);
             // Should be about one frame length apart.
             assert!(
-                (d - imager.frame_length_m()).abs() < 0.15 * imager.frame_length_m(),
+                (d - imager.frame_length_m).abs() < 0.15 * imager.frame_length_m,
                 "consecutive centers {d} m apart"
             );
         }

@@ -71,26 +71,6 @@ impl Duration {
     pub fn as_days(self) -> f64 {
         self.0 / SECONDS_PER_DAY
     }
-
-    /// Absolute value of this duration.
-    pub fn abs(self) -> Duration {
-        Duration(self.0.abs())
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, other: Duration) -> Duration {
-        Duration(self.0.min(other.0))
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, other: Duration) -> Duration {
-        Duration(self.0.max(other.0))
-    }
-
-    /// True if this duration is negative.
-    pub fn is_negative(self) -> bool {
-        self.0 < 0.0
-    }
 }
 
 impl fmt::Display for Duration {
@@ -194,14 +174,6 @@ impl Epoch {
         }
     }
 
-    /// An epoch a given number of days after J2000.
-    pub fn from_j2000_days(days: f64) -> Epoch {
-        Epoch {
-            j2000_offset_days: days,
-            seconds: 0.0,
-        }
-    }
-
     /// Seconds since the mission start epoch.
     pub fn seconds_since_start(self) -> f64 {
         self.seconds
@@ -281,16 +253,6 @@ mod tests {
         assert_eq!((a / 3.0).as_seconds(), 30.0);
         assert_eq!(a / b, 3.0);
         assert_eq!((-a).as_seconds(), -90.0);
-        assert!((-a).is_negative());
-        assert_eq!((-a).abs(), a);
-    }
-
-    #[test]
-    fn duration_min_max() {
-        let a = Duration::from_seconds(10.0);
-        let b = Duration::from_seconds(20.0);
-        assert_eq!(a.min(b), a);
-        assert_eq!(a.max(b), b);
     }
 
     #[test]
@@ -301,17 +263,25 @@ mod tests {
         assert!(((t2 - t0).as_minutes() - 90.0).abs() < 1e-9);
     }
 
+    /// An epoch `days` after J2000.
+    fn j2000_days(days: f64) -> Epoch {
+        Epoch {
+            j2000_offset_days: days,
+            seconds: 0.0,
+        }
+    }
+
     #[test]
     fn epoch_tracks_j2000_days() {
-        let t0 = Epoch::from_j2000_days(100.0);
+        let t0 = j2000_days(100.0);
         let t1 = t0 + Duration::from_days(2.0);
         assert!((t1.days_since_j2000() - 102.0).abs() < 1e-12);
     }
 
     #[test]
     fn epoch_difference_across_offsets() {
-        let a = Epoch::from_j2000_days(10.0);
-        let b = Epoch::from_j2000_days(11.0) + Duration::from_hours(12.0);
+        let a = j2000_days(10.0);
+        let b = j2000_days(11.0) + Duration::from_hours(12.0);
         assert!(((b - a).as_days() - 1.5).abs() < 1e-12);
     }
 

@@ -14,7 +14,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// let a = Vec3::new(1.0, 0.0, 0.0);
 /// let b = Vec3::new(0.0, 1.0, 0.0);
 /// assert_eq!(a.dot(b), 0.0);
-/// assert_eq!(a.cross(b), Vec3::new(0.0, 0.0, 1.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Vec3 {
@@ -44,43 +43,9 @@ impl Vec3 {
         self.x * rhs.x + self.y * rhs.y + self.z * rhs.z
     }
 
-    /// Cross product.
-    pub fn cross(self, rhs: Vec3) -> Vec3 {
-        Vec3 {
-            x: self.y * rhs.z - self.z * rhs.y,
-            y: self.z * rhs.x - self.x * rhs.z,
-            z: self.x * rhs.y - self.y * rhs.x,
-        }
-    }
-
     /// Euclidean norm.
     pub fn norm(self) -> f64 {
         self.dot(self).sqrt()
-    }
-
-    /// Unit vector in the same direction.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the vector is (near) zero.
-    pub fn normalized(self) -> Vec3 {
-        let n = self.norm();
-        debug_assert!(n > 1e-12, "cannot normalize a zero vector");
-        self / n
-    }
-
-    /// Angle between two vectors in radians, in `[0, pi]`.
-    pub fn angle_to(self, rhs: Vec3) -> f64 {
-        let denom = self.norm() * rhs.norm();
-        if denom == 0.0 {
-            return 0.0;
-        }
-        (self.dot(rhs) / denom).clamp(-1.0, 1.0).acos()
-    }
-
-    /// Distance between two points.
-    pub fn distance(self, rhs: Vec3) -> f64 {
-        (self - rhs).norm()
     }
 
     /// Rotates this vector about the Z axis by `angle` radians
@@ -176,25 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_product_right_handed() {
-        let x = Vec3::new(1.0, 0.0, 0.0);
-        let y = Vec3::new(0.0, 1.0, 0.0);
-        let z = Vec3::new(0.0, 0.0, 1.0);
-        assert_eq!(x.cross(y), z);
-        assert_eq!(y.cross(z), x);
-        assert_eq!(z.cross(x), y);
-    }
-
-    #[test]
-    fn angle_between_orthogonal_vectors() {
-        let a = Vec3::new(1.0, 0.0, 0.0);
-        let b = Vec3::new(0.0, 2.0, 0.0);
-        assert!((a.angle_to(b) - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
-        assert!((a.angle_to(-a) - std::f64::consts::PI).abs() < 1e-12);
-        assert_eq!(a.angle_to(a), 0.0);
-    }
-
-    #[test]
     fn rotation_about_z_quarter_turn() {
         let v = Vec3::new(1.0, 0.0, 5.0).rotated_z(std::f64::consts::FRAC_PI_2);
         assert!((v.x - 0.0).abs() < 1e-12);
@@ -219,12 +165,6 @@ mod tests {
         assert_eq!(2.0 * a, a + a);
         assert_eq!(a / 1.0, a);
         assert_eq!(-(-a), a);
-        assert_eq!(a.distance(a), 0.0);
-    }
-
-    #[test]
-    fn normalized_has_unit_norm() {
-        let v = Vec3::new(3.0, -4.0, 12.0).normalized();
-        assert!((v.norm() - 1.0).abs() < 1e-12);
+        assert_eq!((a - a).norm(), 0.0);
     }
 }

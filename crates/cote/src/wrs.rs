@@ -10,7 +10,6 @@
 
 use crate::coords::Geodetic;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Number of WRS-2 paths (distinct repeating ground tracks).
@@ -65,35 +64,6 @@ impl WorldReferenceSystem {
         }
     }
 
-    /// A custom grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `paths` or `rows` is zero, or `max_latitude_deg` is not in
-    /// `(0, 90]`.
-    pub fn new(paths: u16, rows: u16, max_latitude_deg: f64) -> WorldReferenceSystem {
-        assert!(paths > 0 && rows > 0, "grid must have paths and rows");
-        assert!(
-            max_latitude_deg > 0.0 && max_latitude_deg <= 90.0,
-            "max latitude must be in (0, 90] degrees"
-        );
-        WorldReferenceSystem {
-            paths,
-            rows,
-            max_latitude: max_latitude_deg.to_radians(),
-        }
-    }
-
-    /// Number of paths.
-    pub fn paths(&self) -> u16 {
-        self.paths
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> u16 {
-        self.rows
-    }
-
     /// Total number of scenes in the grid.
     pub fn scene_count(&self) -> u32 {
         u32::from(self.paths) * u32::from(self.rows)
@@ -119,23 +89,6 @@ impl WorldReferenceSystem {
         let path = 1 + ((lon_norm * f64::from(self.paths)) as u16).min(self.paths - 1);
         SceneId { path, row }
     }
-
-    /// Counts unique scenes touched by a sequence of ground points.
-    pub fn unique_scenes<'a, I>(&self, points: I) -> usize
-    where
-        I: IntoIterator<Item = &'a Geodetic>,
-    {
-        let set: BTreeSet<SceneId> = points.into_iter().map(|p| self.scene_of(p)).collect();
-        set.len()
-    }
-
-    /// The fraction of all scenes covered by a sequence of ground points.
-    pub fn coverage_fraction<'a, I>(&self, points: I) -> f64
-    where
-        I: IntoIterator<Item = &'a Geodetic>,
-    {
-        self.unique_scenes(points) as f64 / f64::from(self.scene_count())
-    }
 }
 
 impl Default for WorldReferenceSystem {
@@ -151,8 +104,8 @@ mod tests {
     #[test]
     fn grid_has_landsat_dimensions() {
         let wrs = WorldReferenceSystem::wrs2_like();
-        assert_eq!(wrs.paths(), 233);
-        assert_eq!(wrs.rows(), 248);
+        assert_eq!(wrs.paths, 233);
+        assert_eq!(wrs.rows, 248);
         assert_eq!(wrs.scene_count(), 233 * 248);
     }
 
@@ -191,27 +144,10 @@ mod tests {
     }
 
     #[test]
-    fn unique_scene_counting_deduplicates() {
-        let wrs = WorldReferenceSystem::wrs2_like();
-        let p = Geodetic::from_degrees(30.0, 40.0, 0.0);
-        let q = Geodetic::from_degrees(-30.0, -40.0, 0.0);
-        let points = [p, p, q, q, p];
-        assert_eq!(wrs.unique_scenes(points.iter()), 2);
-        let frac = wrs.coverage_fraction(points.iter());
-        assert!((frac - 2.0 / f64::from(wrs.scene_count())).abs() < 1e-12);
-    }
-
-    #[test]
     fn scene_id_orders_and_displays() {
         let a = SceneId { path: 1, row: 2 };
         let b = SceneId { path: 1, row: 3 };
         assert!(a < b);
         assert_eq!(a.to_string(), "P001R002");
-    }
-
-    #[test]
-    #[should_panic(expected = "max latitude")]
-    fn rejects_bad_latitude_limit() {
-        let _ = WorldReferenceSystem::new(10, 10, 0.0);
     }
 }

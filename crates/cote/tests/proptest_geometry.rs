@@ -37,7 +37,7 @@ proptest! {
         let rotated = eci_to_ecef(r, epoch);
         prop_assert!((rotated.norm() - r.norm()).abs() < 1e-6);
         let back = ecef_to_eci(rotated, epoch);
-        prop_assert!(back.distance(r) < 1e-5);
+        prop_assert!((back - r).norm() < 1e-5);
     }
 
     #[test]
@@ -76,18 +76,6 @@ proptest! {
     }
 
     #[test]
-    fn cross_product_is_orthogonal(
-        ax in -10.0f64..10.0, ay in -10.0f64..10.0, az in -10.0f64..10.0,
-        bx in -10.0f64..10.0, by in -10.0f64..10.0, bz in -10.0f64..10.0,
-    ) {
-        let a = Vec3::new(ax, ay, az);
-        let b = Vec3::new(bx, by, bz);
-        let c = a.cross(b);
-        prop_assert!(c.dot(a).abs() < 1e-9 * (1.0 + a.norm() * b.norm()));
-        prop_assert!(c.dot(b).abs() < 1e-9 * (1.0 + a.norm() * b.norm()));
-    }
-
-    #[test]
     fn duration_arithmetic_is_consistent(
         a in -1e6f64..1e6,
         b in -1e6f64..1e6,
@@ -95,8 +83,6 @@ proptest! {
         let da = Duration::from_seconds(a);
         let db = Duration::from_seconds(b);
         prop_assert!(((da + db) - db - da).as_seconds().abs() < 1e-6);
-        prop_assert_eq!(da.min(db), if a < b { da } else { db });
-        prop_assert!((da.abs().as_seconds() - a.abs()).abs() < 1e-12);
     }
 
     #[test]

@@ -294,11 +294,6 @@ impl ContactFault {
             fade_db: 0.0,
         }
     }
-
-    /// True when this contact is degraded in any way.
-    pub fn is_faulty(&self) -> bool {
-        self.dropped || self.keep_fraction < 1.0 || self.fade_db > 0.0
-    }
 }
 
 /// One contact after fault application.
@@ -546,7 +541,7 @@ mod tests {
                 Some(p) => {
                     assert!(p.bits() <= clean.bits() + 1e-6);
                     assert!((clean.bits() - p.bits() - outcome.lost_bits).abs() < 1e-6);
-                    if outcome.fault.is_faulty() {
+                    if outcome.fault != ContactFault::none() {
                         degraded += 1;
                     }
                 }

@@ -26,8 +26,6 @@ pub struct CloudField {
     /// Bias added to the raw noise before thresholding; higher means
     /// cloudier. Calibrated from the target coverage at construction.
     bias: f64,
-    /// Target global cloud fraction used to derive `bias`.
-    target_coverage: f64,
 }
 
 /// Spatial frequency of synoptic cloud systems, cycles per degree.
@@ -59,7 +57,6 @@ impl CloudField {
         let mut field = CloudField {
             field: NoiseField::new(seed ^ 0xC10D),
             bias: 0.0,
-            target_coverage,
         };
         let mut lo = -0.6;
         let mut hi = 0.6;
@@ -74,11 +71,6 @@ impl CloudField {
         }
         field.bias = (lo + hi) / 2.0;
         field
-    }
-
-    /// The target coverage this field was calibrated for.
-    pub fn target_coverage(&self) -> f64 {
-        self.target_coverage
     }
 
     /// Cloud optical depth in `[0, 1]` at a geodetic point (degrees) and
@@ -172,7 +164,6 @@ mod tests {
             let clouds = CloudField {
                 field: NoiseField::new(seed),
                 bias,
-                target_coverage: 0.52,
             };
             let mut cursor = CloudCursor::default();
             for (lat, lon) in oracle::scan_walk(&steps) {

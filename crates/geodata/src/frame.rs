@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// use kodan_geodata::frame::World;
 /// let world = World::new(42);
 /// let frame = world.render_frame(45.0, 10.0, 0.0, 33, 150.0);
-/// assert_eq!(frame.width() * frame.height(), frame.pixel_count());
+/// assert_eq!(frame.width() * frame.width(), frame.pixel_count());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct World {
@@ -55,19 +55,9 @@ impl World {
         }
     }
 
-    /// The world seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The surface map.
     pub fn surface(&self) -> &SurfaceMap {
         &self.surface
-    }
-
-    /// The cloud field.
-    pub fn clouds(&self) -> &CloudField {
-        &self.clouds
     }
 
     /// Renders a square frame of `px` x `px` pixels centered at
@@ -144,7 +134,6 @@ impl World {
             surface,
             center_lat_deg: lat_deg,
             center_lon_deg: lon_deg,
-            t_days,
             frame_km,
         }
     }
@@ -162,18 +151,12 @@ pub struct FrameImage {
     surface: Vec<SurfaceType>,
     center_lat_deg: f64,
     center_lon_deg: f64,
-    t_days: f64,
     frame_km: f64,
 }
 
 impl FrameImage {
     /// Frame width in pixels.
     pub fn width(&self) -> usize {
-        self.px
-    }
-
-    /// Frame height in pixels (frames are square).
-    pub fn height(&self) -> usize {
         self.px
     }
 
@@ -197,24 +180,9 @@ impl FrameImage {
         self.center_lon_deg
     }
 
-    /// Capture time, days.
-    pub fn t_days(&self) -> f64 {
-        self.t_days
-    }
-
     /// The interleaved channel buffer (`CHANNELS` floats per pixel).
     pub fn channels(&self) -> &[f32] {
         &self.channels
-    }
-
-    /// Reflectance of one pixel in one channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates or channel are out of range.
-    pub fn at(&self, row: usize, col: usize, channel: usize) -> f32 {
-        assert!(row < self.px && col < self.px && channel < CHANNELS);
-        self.channels[(row * self.px + col) * CHANNELS + channel]
     }
 
     /// Per-pixel cloud truth mask (row-major).
@@ -235,20 +203,6 @@ impl FrameImage {
     /// Fraction of pixels that are high-value (clear).
     pub fn high_value_fraction(&self) -> f64 {
         1.0 - self.cloud_fraction()
-    }
-
-    /// Fraction of pixels of each surface type, indexed by
-    /// [`SurfaceType::index`].
-    pub fn surface_fractions(&self) -> [f64; 8] {
-        let mut counts = [0.0f64; 8];
-        for s in &self.surface {
-            counts[s.index()] += 1.0;
-        }
-        let n = self.pixel_count() as f64;
-        for c in &mut counts {
-            *c /= n;
-        }
-        counts
     }
 }
 
@@ -294,14 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn surface_fractions_sum_to_one() {
-        let world = World::new(11);
-        let frame = world.render_frame(10.0, 30.0, 0.0, 20, 150.0);
-        let sum: f64 = frame.surface_fractions().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn ocean_frames_are_mostly_ocean() {
         // Find an ocean-dominated frame by scanning; the map is seeded so
         // this is stable.
@@ -309,8 +255,12 @@ mod tests {
         let mut found = false;
         for lon in (-180..180).step_by(20) {
             let frame = world.render_frame(-20.0, lon as f64, 0.0, 12, 150.0);
-            let ocean = frame.surface_fractions()[SurfaceType::Ocean.index()];
-            if ocean > 0.95 {
+            let ocean_px = frame
+                .surface()
+                .iter()
+                .filter(|&&s| s == SurfaceType::Ocean)
+                .count();
+            if ocean_px as f64 / frame.pixel_count() as f64 > 0.95 {
                 found = true;
                 break;
             }
@@ -328,18 +278,15 @@ mod tests {
         let mut cloud_n = 0.0;
         for lon in (-180..180).step_by(45) {
             let frame = world.render_frame(0.0, lon as f64, 0.0, 16, 150.0);
-            for row in 0..16 {
-                for col in 0..16 {
-                    let lum = (frame.at(row, col, 0)
-                        + frame.at(row, col, 1)
-                        + frame.at(row, col, 2)) as f64;
-                    if frame.truth_cloudy()[row * 16 + col] {
-                        cloud_sum += lum;
-                        cloud_n += 1.0;
-                    } else {
-                        clear_sum += lum;
-                        clear_n += 1.0;
-                    }
+            let pixels = frame.channels().chunks_exact(CHANNELS);
+            for (px, &cloudy) in pixels.zip(frame.truth_cloudy()) {
+                let lum = (px[0] + px[1] + px[2]) as f64;
+                if cloudy {
+                    cloud_sum += lum;
+                    cloud_n += 1.0;
+                } else {
+                    clear_sum += lum;
+                    clear_n += 1.0;
                 }
             }
         }

@@ -24,7 +24,7 @@
 //! Memo keys are exact — the octave seed and lattice indices, and the
 //! bits of `y` and `t` — so a hit returns what recomputing would, and
 //! every float operation runs in the scalar order. The scalar entry
-//! points ([`NoiseField::value`], [`NoiseField::fbm`]) run the same code
+//! points ([`NoiseField::value`], [`NoiseField::fbm5`]) run the same code
 //! with a fresh cursor. Sensor noise shares chain prefixes the same way:
 //! a pixel's channels reuse the four chains through the seed, `x` and
 //! `y`, so all five cost 32 SplitMix rounds instead of 80, and each equals
@@ -188,7 +188,10 @@ impl FbmCursor {
         first.value(field.seed, x, y, t)
     }
 
-    /// [`NoiseField::fbm`] through this cursor; `octaves` is positive.
+    /// Fractal Brownian motion through this cursor: `octaves` (positive)
+    /// octaves of value noise with the given `lacunarity` (frequency
+    /// multiplier per octave) and `gain` (amplitude multiplier per
+    /// octave), normalized to `[0, 1]`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn fbm(
         &mut self,
@@ -263,18 +266,6 @@ impl NoiseField {
     /// Single-octave value noise at `(x, y, t)`, in `[0, 1]`.
     pub fn value(&self, x: f64, y: f64, t: f64) -> f64 {
         FbmCursor::default().value(self, x, y, t)
-    }
-
-    /// Fractal Brownian motion: `octaves` octaves of value noise with the
-    /// given `lacunarity` (frequency multiplier per octave) and `gain`
-    /// (amplitude multiplier per octave). Output is normalized to `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `octaves` is zero.
-    pub fn fbm(&self, x: f64, y: f64, t: f64, octaves: u32, lacunarity: f64, gain: f64) -> f64 {
-        assert!(octaves > 0, "fBm needs at least one octave");
-        FbmCursor::default().fbm(self, x, y, t, octaves, lacunarity, gain)
     }
 
     /// Standard 5-octave fBm with lacunarity 2 and gain 0.5 — the default
@@ -450,7 +441,6 @@ mod tests {
                         prop_assert_eq!(cursor.value(field, xk, y, tk).to_bits(), want);
                         let want =
                             oracle::fbm(field.seed(), xk, y, tk, octaves, lacunarity, gain).to_bits();
-                        prop_assert_eq!(field.fbm(xk, y, tk, octaves, lacunarity, gain).to_bits(), want);
                         let got = cursor.fbm(field, xk, y, tk, octaves, lacunarity, gain);
                         prop_assert_eq!(got.to_bits(), want);
                     }
@@ -580,11 +570,5 @@ mod tests {
         var = var / count as f64 - mean * mean;
         assert!(mean.abs() < 0.005, "mean = {mean}");
         assert!((var.sqrt() - 0.05).abs() < 0.01, "sigma = {}", var.sqrt());
-    }
-
-    #[test]
-    #[should_panic(expected = "octave")]
-    fn fbm_rejects_zero_octaves() {
-        let _ = NoiseField::new(0).fbm(0.0, 0.0, 0.0, 0, 2.0, 0.5);
     }
 }

@@ -68,13 +68,9 @@ impl Confusers {
         }
     }
 
-    /// Additive per-channel perturbation for a pixel environment.
-    pub fn perturbation(&self, env: &PixelEnvironment) -> [f64; CHANNELS] {
-        self.perturbation_with(&mut FbmCursor::default(), env)
-    }
-
-    /// [`Confusers::perturbation`] through a lattice cursor shared by
-    /// the three confuser streams (a pixel draws at most one).
+    /// Additive per-channel perturbation for a pixel environment, drawn
+    /// through a lattice cursor shared by the three confuser streams (a
+    /// pixel draws at most one).
     fn perturbation_with(&self, cursor: &mut FbmCursor, env: &PixelEnvironment) -> [f64; CHANNELS] {
         let x = env.lon_deg * CONFUSER_SCALE;
         let y = env.lat_deg * CONFUSER_SCALE;
@@ -175,7 +171,7 @@ mod tests {
     use crate::noise::{oracle, pixel_noise};
     use proptest::prelude::*;
 
-    /// [`Confusers::perturbation`] as the scalar code computed it, every
+    /// The confuser perturbation as the scalar code computed it, every
     /// noise sample drawn from the oracle.
     fn oracle_perturbation(confusers: &Confusers, env: &PixelEnvironment) -> [f64; CHANNELS] {
         let fbm5 = |field: &NoiseField, x, y, t| oracle::fbm(field.seed(), x, y, t, 5, 2.0, 0.5);
@@ -233,7 +229,6 @@ mod tests {
                     t_days,
                 };
                 let confusion = oracle_perturbation(&confusers, &env);
-                prop_assert_eq!(confusers.perturbation(&env), confusion);
                 prop_assert_eq!(confusers.perturbation_with(&mut cursor, &env), confusion);
                 // The pixel as drawn channel by channel with `pixel_noise`.
                 let (px, py) = (i % 7 - 3, i / 7);

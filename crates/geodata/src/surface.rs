@@ -140,10 +140,6 @@ impl SurfaceMap {
     }
 
     /// Raw elevation value in `[0, 1]` at a geodetic point (degrees).
-    pub fn elevation(&self, lat_deg: f64, lon_deg: f64) -> f64 {
-        self.elevation_with(&mut SurfaceCursor::default(), lat_deg, lon_deg)
-    }
-
     fn elevation_with(&self, cursor: &mut SurfaceCursor, lat_deg: f64, lon_deg: f64) -> f64 {
         let (x, y) = wrap_coords(cursor.cos_lat(lat_deg), lat_deg, lon_deg, CONTINENT_SCALE);
         cursor.elevation.fbm5(&self.elevation, x, y, 0.0)
@@ -204,27 +200,6 @@ impl SurfaceMap {
             return SurfaceType::Forest;
         }
         SurfaceType::Grassland
-    }
-
-    /// Estimates the global fraction of each surface type by sampling a
-    /// latitude-weighted grid (`resolution` points per axis). Returns
-    /// fractions indexed by [`SurfaceType::index`].
-    pub fn global_fractions(&self, resolution: usize) -> [f64; 8] {
-        let mut weights = [0.0f64; 8];
-        let mut total = 0.0;
-        for i in 0..resolution {
-            let lat = -90.0 + 180.0 * (i as f64 + 0.5) / resolution as f64;
-            let w = lat.to_radians().cos(); // area weight
-            for j in 0..resolution {
-                let lon = -180.0 + 360.0 * (j as f64 + 0.5) / resolution as f64;
-                weights[self.classify(lat, lon).index()] += w;
-                total += w;
-            }
-        }
-        for w in &mut weights {
-            *w /= total;
-        }
-        weights
     }
 }
 
@@ -300,6 +275,27 @@ mod tests {
         (elevation, surface)
     }
 
+    /// The global fraction of each surface type on a latitude-weighted
+    /// grid of `resolution` points per axis, indexed by
+    /// [`SurfaceType::index`].
+    fn global_fractions(map: &SurfaceMap, resolution: usize) -> [f64; 8] {
+        let mut weights = [0.0f64; 8];
+        let mut total = 0.0;
+        for i in 0..resolution {
+            let lat = -90.0 + 180.0 * (i as f64 + 0.5) / resolution as f64;
+            let w = lat.to_radians().cos(); // area weight
+            for j in 0..resolution {
+                let lon = -180.0 + 360.0 * (j as f64 + 0.5) / resolution as f64;
+                weights[map.classify(lat, lon).index()] += w;
+                total += w;
+            }
+        }
+        for w in &mut weights {
+            *w /= total;
+        }
+        weights
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
@@ -313,7 +309,6 @@ mod tests {
             let mut cursor = SurfaceCursor::default();
             for (lat, lon) in oracle::scan_walk(&steps) {
                 let (elevation, surface) = oracle_classify(&map, lat, lon);
-                prop_assert_eq!(map.elevation(lat, lon).to_bits(), elevation.to_bits());
                 prop_assert_eq!(map.elevation_with(&mut cursor, lat, lon).to_bits(), elevation.to_bits());
                 prop_assert_eq!(map.classify(lat, lon), surface);
                 prop_assert_eq!(map.classify_with(&mut cursor, lat, lon), surface);
@@ -324,7 +319,7 @@ mod tests {
     #[test]
     fn ocean_fraction_is_earth_like() {
         let map = SurfaceMap::new(42);
-        let fractions = map.global_fractions(60);
+        let fractions = global_fractions(&map, 60);
         let ocean = fractions[SurfaceType::Ocean.index()];
         assert!(
             (0.45..0.8).contains(&ocean),
@@ -358,7 +353,7 @@ mod tests {
     #[test]
     fn all_types_occur_somewhere() {
         let map = SurfaceMap::new(42);
-        let fractions = map.global_fractions(120);
+        let fractions = global_fractions(&map, 120);
         for t in SurfaceType::ALL {
             assert!(
                 fractions[t.index()] > 0.0,

@@ -22,8 +22,6 @@ pub struct TileImage {
     truth_cloudy: Vec<bool>,
     surface_fractions: [f64; 8],
     cloud_fraction: f64,
-    /// (row, col) of this tile within its frame's grid.
-    grid_pos: (usize, usize),
     center_lat_deg: f64,
     center_lon_deg: f64,
 }
@@ -57,11 +55,6 @@ impl TileImage {
     /// Fraction of clear pixels (high-value data).
     pub fn high_value_fraction(&self) -> f64 {
         1.0 - self.cloud_fraction
-    }
-
-    /// Position of this tile within the frame grid, `(row, col)`.
-    pub fn grid_pos(&self) -> (usize, usize) {
-        self.grid_pos
     }
 
     /// Approximate tile center latitude, degrees.
@@ -233,7 +226,6 @@ pub fn tile_frame(frame: &FrameImage, grid: usize) -> Vec<TileImage> {
                 truth_cloudy: truth,
                 surface_fractions,
                 cloud_fraction,
-                grid_pos: (tr, tc),
                 center_lat_deg: frame.center_lat_deg() + cy_km * deg_per_km,
                 center_lon_deg: frame.center_lon_deg() + cx_km * deg_per_km / cos_lat,
             });
@@ -245,11 +237,6 @@ pub fn tile_frame(frame: &FrameImage, grid: usize) -> Vec<TileImage> {
 /// The tile grids evaluated in the paper: 121, 36, 16 and 9 tiles per
 /// frame correspond to 11x11, 6x6, 4x4 and 3x3 lattices.
 pub const PAPER_TILE_GRIDS: [usize; 4] = [11, 6, 4, 3];
-
-/// Converts a grid dimension to tiles per frame.
-pub fn tiles_per_frame(grid: usize) -> usize {
-    grid * grid
-}
 
 #[cfg(test)]
 mod tests {
@@ -292,12 +279,12 @@ mod tests {
         let tiles = tile_frame(&frame, 6);
         let tile_px = 11;
         let t = &tiles[7]; // grid (1,1)
-        assert_eq!(t.grid_pos(), (1, 1));
         for r in 0..tile_px {
             for c in 0..tile_px {
                 for ch in 0..CHANNELS {
                     let from_tile = t.channels()[(r * tile_px + c) * CHANNELS + ch];
-                    let from_frame = frame.at(tile_px + r, tile_px + c, ch);
+                    let from_frame = frame.channels()
+                        [((tile_px + r) * frame.width() + tile_px + c) * CHANNELS + ch];
                     assert_eq!(from_tile, from_frame);
                 }
             }
@@ -348,7 +335,7 @@ mod tests {
 
     #[test]
     fn paper_grids_yield_paper_tile_counts() {
-        let counts: Vec<usize> = PAPER_TILE_GRIDS.iter().map(|&g| tiles_per_frame(g)).collect();
+        let counts: Vec<usize> = PAPER_TILE_GRIDS.iter().map(|&g| g * g).collect();
         assert_eq!(counts, vec![121, 36, 16, 9]);
     }
 

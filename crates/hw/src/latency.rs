@@ -43,11 +43,6 @@ impl LatencyModel {
         LatencyModel { target }
     }
 
-    /// The modeled target.
-    pub fn target(&self) -> HwTarget {
-        self.target
-    }
-
     /// Per-tile time of the full reference architecture (Table 1).
     pub fn full_model_tile_time(&self, arch: ModelArch) -> Duration {
         Duration::from_seconds(per_tile_ms(arch, self.target) / 1000.0)
@@ -93,13 +88,6 @@ impl LatencyModel {
         };
         Duration::from_seconds(ms / 1000.0)
     }
-
-    /// Time to process one frame when every tile runs the full model
-    /// (the direct-deployment configuration).
-    pub fn direct_deploy_frame_time(&self, arch: ModelArch, tiles_per_frame: usize) -> Duration {
-        let per_tile = self.full_model_tile_time(arch) + self.resize_tile_time();
-        per_tile * tiles_per_frame as f64
-    }
 }
 
 #[cfg(test)]
@@ -140,10 +128,15 @@ mod tests {
         }
     }
 
+    /// A 121-tile frame with the full model on every tile.
+    fn full_model_frame_time(m: &LatencyModel, arch: ModelArch) -> Duration {
+        (m.full_model_tile_time(arch) + m.resize_tile_time()) * 121.0
+    }
+
     #[test]
     fn direct_deploy_at_121_tiles_busts_the_deadline_on_the_orin() {
         let m = LatencyModel::new(HwTarget::OrinAgx15W);
-        let frame = m.direct_deploy_frame_time(ModelArch::MobileNetV2DilatedC1, 121);
+        let frame = full_model_frame_time(&m, ModelArch::MobileNetV2DilatedC1);
         // The paper's computational bottleneck: ~75 s against a ~22 s
         // deadline for the lightest app on flight hardware.
         assert!(frame.as_seconds() > 70.0, "{}", frame.as_seconds());
@@ -152,7 +145,7 @@ mod tests {
     #[test]
     fn app1_at_121_tiles_roughly_meets_deadline_on_the_1070ti() {
         let m = LatencyModel::new(HwTarget::Gtx1070Ti);
-        let frame = m.direct_deploy_frame_time(ModelArch::MobileNetV2DilatedC1, 121);
+        let frame = full_model_frame_time(&m, ModelArch::MobileNetV2DilatedC1);
         assert!(
             (20.0..24.0).contains(&frame.as_seconds()),
             "{}",

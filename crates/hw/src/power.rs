@@ -11,12 +11,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::targets::HwTarget;
 
-/// Joules consumed by running a target for a duration at its nominal
-/// draw.
-pub fn compute_energy_j(target: HwTarget, busy: Duration) -> f64 {
-    target.power_watts() * busy.as_seconds()
-}
-
 /// An orbit-average energy budget.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnergyBudget {
@@ -75,12 +69,6 @@ impl EnergyBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn energy_is_power_times_time() {
-        let e = compute_energy_j(HwTarget::OrinAgx15W, Duration::from_seconds(100.0));
-        assert!((e - 1500.0).abs() < 1e-9);
-    }
 
     #[test]
     fn cubesat_budget_supports_only_the_orin() {

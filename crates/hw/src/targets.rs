@@ -56,11 +56,6 @@ impl HwTarget {
             HwTarget::OrinAgx15W => 15.0,
         }
     }
-
-    /// True if this platform fits a cubesat-class power budget.
-    pub fn is_flight_representative(self) -> bool {
-        matches!(self, HwTarget::OrinAgx15W)
-    }
 }
 
 impl fmt::Display for HwTarget {
@@ -80,13 +75,5 @@ mod tests {
             assert_eq!(target.index(), i);
         }
         assert_eq!(HwTarget::CoreI7_7800X.name(), "i7-7800");
-    }
-
-    #[test]
-    fn only_the_orin_is_flight_representative() {
-        assert!(HwTarget::OrinAgx15W.is_flight_representative());
-        assert!(!HwTarget::Gtx1070Ti.is_flight_representative());
-        assert!(!HwTarget::CoreI7_7800X.is_flight_representative());
-        assert!(HwTarget::OrinAgx15W.power_watts() < 20.0);
     }
 }

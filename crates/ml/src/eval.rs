@@ -85,33 +85,6 @@ impl ConfusionMatrix {
         }
         self.tp as f64 / denom as f64
     }
-
-    /// Harmonic mean of precision and recall.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            return 0.0;
-        }
-        2.0 * p * r / (p + r)
-    }
-
-    /// Intersection-over-union of the positive class.
-    pub fn iou(&self) -> f64 {
-        let denom = self.tp + self.fp + self.fn_;
-        if denom == 0 {
-            return 0.0;
-        }
-        self.tp as f64 / denom as f64
-    }
-
-    /// Prevalence of the positive class in the truth labels.
-    pub fn positive_prevalence(&self) -> f64 {
-        if self.total() == 0 {
-            return 0.0;
-        }
-        (self.tp + self.fn_) as f64 / self.total() as f64
-    }
 }
 
 /// Accuracy retained by a candidate classifier relative to a reference
@@ -176,8 +149,6 @@ mod tests {
         assert_eq!(cm.accuracy(), 1.0);
         assert_eq!(cm.precision(), 1.0);
         assert_eq!(cm.recall(), 1.0);
-        assert_eq!(cm.f1(), 1.0);
-        assert_eq!(cm.iou(), 1.0);
     }
 
     #[test]
@@ -193,10 +164,6 @@ mod tests {
         assert_eq!(cm.accuracy(), 5.0 / 8.0);
         assert_eq!(cm.precision(), 3.0 / 4.0);
         assert_eq!(cm.recall(), 3.0 / 5.0);
-        assert_eq!(cm.iou(), 3.0 / 6.0);
-        assert_eq!(cm.positive_prevalence(), 5.0 / 8.0);
-        let expected_f1 = 2.0 * (0.75 * 0.6) / (0.75 + 0.6);
-        assert!((cm.f1() - expected_f1).abs() < 1e-12);
     }
 
     #[test]
@@ -205,8 +172,6 @@ mod tests {
         assert_eq!(cm.accuracy(), 0.0);
         assert_eq!(cm.precision(), 0.0);
         assert_eq!(cm.recall(), 0.0);
-        assert_eq!(cm.f1(), 0.0);
-        assert_eq!(cm.iou(), 0.0);
     }
 
     #[test]

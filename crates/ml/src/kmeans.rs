@@ -124,19 +124,9 @@ impl KMeans {
         self.centroids.len()
     }
 
-    /// The cluster centroids.
-    pub fn centroids(&self) -> &[Vec<f64>] {
-        &self.centroids
-    }
-
     /// The metric this model was fitted under.
     pub fn metric(&self) -> DistanceMetric {
         self.metric
-    }
-
-    /// Sum of squared distances of training points to their centroids.
-    pub fn inertia(&self) -> f64 {
-        self.inertia
     }
 
     /// Cluster assignment of each training point.
@@ -151,15 +141,6 @@ impl KMeans {
     /// Panics if the point's dimension differs from the training data.
     pub fn assign(&self, point: &[f64]) -> usize {
         nearest_centroid(point, &self.centroids, self.metric)
-    }
-
-    /// Number of training points in each cluster.
-    pub fn cluster_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.k()];
-        for &a in &self.assignments {
-            sizes[a] += 1;
-        }
-        sizes
     }
 }
 
@@ -329,10 +310,10 @@ mod tests {
         assert_ne!(a, b);
         // Centroids land near the blob centers.
         let near_origin = km
-            .centroids()
+            .centroids
             .iter()
             .any(|c| c[0].abs() < 0.5 && c[1].abs() < 0.5);
-        assert!(near_origin, "centroids: {:?}", km.centroids());
+        assert!(near_origin, "centroids: {:?}", km.centroids);
     }
 
     #[test]
@@ -346,18 +327,11 @@ mod tests {
     #[test]
     fn inertia_decreases_with_k() {
         let pts = two_blobs();
-        let k1 = KMeans::fit(&pts, 1, DistanceMetric::Euclidean, 3).inertia();
-        let k2 = KMeans::fit(&pts, 2, DistanceMetric::Euclidean, 3).inertia();
-        let k4 = KMeans::fit(&pts, 4, DistanceMetric::Euclidean, 3).inertia();
+        let k1 = KMeans::fit(&pts, 1, DistanceMetric::Euclidean, 3).inertia;
+        let k2 = KMeans::fit(&pts, 2, DistanceMetric::Euclidean, 3).inertia;
+        let k4 = KMeans::fit(&pts, 4, DistanceMetric::Euclidean, 3).inertia;
         assert!(k2 < k1);
         assert!(k4 <= k2 + 1e-9);
-    }
-
-    #[test]
-    fn cluster_sizes_sum_to_n() {
-        let pts = two_blobs();
-        let km = KMeans::fit(&pts, 3, DistanceMetric::Euclidean, 5);
-        assert_eq!(km.cluster_sizes().iter().sum::<usize>(), pts.len());
     }
 
     #[test]
@@ -384,7 +358,7 @@ mod tests {
         let pts = vec![vec![1.0, 1.0]; 10];
         let km = KMeans::fit(&pts, 3, DistanceMetric::Euclidean, 1);
         assert_eq!(km.k(), 3);
-        assert!(km.inertia() < 1e-12);
+        assert!(km.inertia < 1e-12);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   via power iteration) swept alongside the metrics,
 //! - [`mlp`] — the binary per-pixel classifier, a one-hidden-layer
 //!   perceptron trained with mini-batch SGD,
-//! - [`eval`] — confusion matrices, accuracy, precision, recall, F1, IoU,
+//! - [`eval`] — confusion matrices, accuracy, precision and recall,
 //! - [`quant`] — i16/i32 fixed-point quantized inference kernels, the
 //!   bit-exact fast path flight hardware would actually run,
 //! - [`zoo`] — the seven benchmark model architectures of the paper's

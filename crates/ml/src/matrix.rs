@@ -87,16 +87,6 @@ impl Matrix {
         self.cols
     }
 
-    /// A row as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds.
-    pub fn row(&self, r: usize) -> &[f64] {
-        assert!(r < self.rows, "row {r} out of bounds");
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Iterates over rows as slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.cols)
@@ -105,11 +95,6 @@ impl Matrix {
     /// The underlying flat buffer.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// The underlying flat buffer, mutably.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Matrix-vector product.
@@ -136,17 +121,6 @@ impl Matrix {
         for (slot, row) in out.iter_mut().zip(self.iter_rows()) {
             *slot = row.iter().zip(v).map(|(a, b)| a * b).sum();
         }
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
-        out
     }
 
     /// Column means.
@@ -270,7 +244,6 @@ mod tests {
         assert_eq!(m.cols(), 3);
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m[(1, 2)], 6.0);
-        assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
     }
 
     #[test]
@@ -281,16 +254,6 @@ mod tests {
         }
         let v = vec![7.0, -2.0, 0.5];
         assert_eq!(m.matvec(&v), v);
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let t = m.transpose();
-        assert_eq!(t.rows(), 2);
-        assert_eq!(t.cols(), 3);
-        assert_eq!(t[(0, 2)], 5.0);
-        assert_eq!(t.transpose(), m);
     }
 
     #[test]
@@ -329,14 +292,6 @@ mod tests {
         let mut out = vec![0.0; 3];
         m.matvec_into(&v, &mut out);
         assert_eq!(out, m.matvec(&v));
-    }
-
-    #[test]
-    fn mutable_slice_roundtrips() {
-        let mut m = Matrix::zeros(2, 2);
-        m.as_mut_slice()[3] = 9.0;
-        assert_eq!(m[(1, 1)], 9.0);
-        assert_eq!(m.as_slice()[3], 9.0);
     }
 
     #[test]

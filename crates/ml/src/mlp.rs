@@ -466,9 +466,7 @@ impl Mlp {
     }
 
     /// Per-prediction `(float_ops, int_ops)` split; the reference
-    /// network is all-float. Keeps DVD/latency accounting honest about
-    /// which kernel kind actually runs — compare
-    /// [`crate::quant::QuantizedMlp::ops_split`].
+    /// network is all-float.
     pub fn ops_split(&self) -> (usize, usize) {
         (self.ops_per_prediction(), 0)
     }

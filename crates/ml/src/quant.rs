@@ -217,11 +217,6 @@ impl QuantizedMatrix {
         self.cols
     }
 
-    /// The per-row scale exponents.
-    pub fn shifts(&self) -> &[u8] {
-        &self.shifts
-    }
-
     /// Allocation-free integer matvec: `out[r] = sum_c data[r][c] * xq[c]`
     /// with wrapping i32 accumulation (see the module docs for why
     /// wrapping is the right totality contract here). The matrix is tiny
@@ -409,13 +404,6 @@ impl QuantizedMlp {
     /// i16/i32 at [`INT_OP_COST`] relative cost.
     pub fn int_ops_per_prediction(&self) -> usize {
         self.hidden * self.input_dim + self.hidden
-    }
-
-    /// Per-prediction `(float_ops, int_ops)` split; the quantized
-    /// network is all-integer. Counterpart of
-    /// [`crate::mlp::Mlp::ops_split`].
-    pub fn ops_split(&self) -> (usize, usize) {
-        (0, self.int_ops_per_prediction())
     }
 
     /// Total parameters addressable by fault injection: `w1` (i16),
@@ -1029,7 +1017,6 @@ mod tests {
     fn ops_accounting_mirrors_the_f64_network() {
         let (model, quantized, _, _) = trained_pair(60, 4, 7);
         assert_eq!(quantized.int_ops_per_prediction(), model.ops_per_prediction());
-        assert_eq!(quantized.ops_split(), (0, model.ops_per_prediction()));
         assert_eq!(model.ops_split(), (model.ops_per_prediction(), 0));
         assert_eq!(quantized.param_count(), model.param_count());
     }
@@ -1110,7 +1097,7 @@ mod tests {
         let q = QuantizedMatrix::from_f64(&m);
         assert_eq!(q.rows(), 2);
         // NaN rows fall back to the max shift; huge weights saturate.
-        assert_eq!(q.shifts().len(), 2);
+        assert_eq!(q.shifts.len(), 2);
         let mut out = vec![0i32; 2];
         q.matvec_into(&[1, 1], &mut out);
     }

@@ -142,14 +142,6 @@ impl FittedTransform {
     pub fn apply_all(&self, data: &[Vec<f64>]) -> Vec<Vec<f64>> {
         data.iter().map(|v| self.apply(v)).collect()
     }
-
-    /// Output dimension of the transformation, given the input dimension.
-    pub fn output_dim(&self, input_dim: usize) -> usize {
-        match self {
-            FittedTransform::Identity | FittedTransform::Standardize { .. } => input_dim,
-            FittedTransform::Pca { components, .. } => components.len(),
-        }
-    }
 }
 
 /// Replaces zero standard deviations with 1 to avoid division by zero for
@@ -234,7 +226,6 @@ mod tests {
         let data = sample_data();
         let t = TransformKind::Identity.fit(&data);
         assert_eq!(t.apply(&data[3]), data[3]);
-        assert_eq!(t.output_dim(3), 3);
     }
 
     #[test]

@@ -126,31 +126,6 @@ impl ModelArch {
             ModelArch::ResNet101DilatedPpm => 20,
         }
     }
-
-    /// Relative op count of the full architecture (App 1 = 1.0), derived
-    /// from the Table 1 GPU latencies. Specialized models scale this
-    /// down. These are **float** ops — the cost of the f64 reference
-    /// kernels; see [`ModelArch::relative_ops_quantized`] for the
-    /// integer fast path.
-    pub fn relative_ops(self) -> f64 {
-        match self {
-            ModelArch::MobileNetV2DilatedC1 => 1.0,
-            ModelArch::ResNet18DilatedPpm => 1.33,
-            ModelArch::HrNetV2C1 => 1.81,
-            ModelArch::ResNet50DilatedPpm => 2.03,
-            ModelArch::ResNet50UperNet => 2.31,
-            ModelArch::ResNet101UperNet => 2.50,
-            ModelArch::ResNet101DilatedPpm => 2.67,
-        }
-    }
-
-    /// Relative op cost when the architecture's specialized variants fly
-    /// the i16/i32 quantized path: the same MAC structure priced at
-    /// [`crate::quant::INT_OP_COST`] per MAC relative to an f64 MAC, so
-    /// the DVD/latency models stay honest about the cheaper kernels.
-    pub fn relative_ops_quantized(self) -> f64 {
-        self.relative_ops() * crate::quant::INT_OP_COST
-    }
 }
 
 impl fmt::Display for ModelArch {
@@ -178,7 +153,6 @@ mod tests {
             assert!(pair[1].hidden_units() >= pair[0].hidden_units());
             assert!(pair[1].feature_budget() >= pair[0].feature_budget());
             assert!(pair[1].input_resolution() > pair[0].input_resolution());
-            assert!(pair[1].relative_ops() > pair[0].relative_ops());
         }
     }
 
@@ -193,17 +167,6 @@ mod tests {
             "resnet101dilated-ppm-deepsup"
         );
         assert_eq!(ModelArch::HrNetV2C1.to_string(), "App 3 (hrnetv2-c1)");
-    }
-
-    #[test]
-    fn quantized_ops_are_cheaper_and_order_preserving() {
-        for arch in ModelArch::ALL {
-            assert!(arch.relative_ops_quantized() < arch.relative_ops());
-            assert!(arch.relative_ops_quantized() > 0.0);
-        }
-        for pair in ModelArch::ALL.windows(2) {
-            assert!(pair[1].relative_ops_quantized() > pair[0].relative_ops_quantized());
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! into a non-zero exit code, which makes a byte-level regression
 //! bisectable without reading two JSON files side by side.
 
-use crate::json::{format_f64, JsonWriter};
+use crate::json::format_f64;
 use crate::snapshot::{HistogramSnapshot, SpanTotal, TelemetrySnapshot};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -54,25 +54,6 @@ impl SnapshotDiff {
             let _ = writeln!(out, "  {}: {} -> {}", e.field, e.before, e.after);
         }
         out
-    }
-
-    /// Serializes the diff to byte-deterministic JSON.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.open_object(None);
-        w.uint(Some("diff_version"), 1);
-        w.uint(Some("fields_differ"), self.len() as u64);
-        w.open_array(Some("entries"));
-        for e in &self.entries {
-            w.open_object(None);
-            w.string(Some("field"), &e.field);
-            w.string(Some("before"), &e.before);
-            w.string(Some("after"), &e.after);
-            w.close_object();
-        }
-        w.close_array();
-        w.close_object();
-        w.finish()
     }
 }
 
@@ -278,17 +259,5 @@ mod tests {
         assert_eq!(entry.field, "journal[1]");
         assert_eq!(entry.before, "1 event(s)");
         assert_eq!(entry.after, "2 event(s)");
-    }
-
-    #[test]
-    fn diff_json_is_deterministic_and_parseable() {
-        let a = TelemetrySnapshot::empty();
-        let mut b = a.clone();
-        b.frames = 7;
-        let d1 = diff_snapshots(&a, &b);
-        let d2 = diff_snapshots(&a, &b);
-        assert_eq!(d1.to_json(), d2.to_json());
-        assert!(crate::parse::parse_json(&d1.to_json()).is_ok());
-        assert!(d1.to_json().contains("\"fields_differ\": 1"));
     }
 }

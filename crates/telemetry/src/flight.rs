@@ -147,11 +147,6 @@ impl<R: Recorder> FlightRecorder<R> {
         &self.inner
     }
 
-    /// Unwraps the inner recorder, discarding the flight state.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-
     /// Captured reports, in trigger order.
     pub fn reports(&self) -> &[BlackBoxReport] {
         &self.reports
@@ -323,11 +318,11 @@ mod tests {
     fn forwards_to_the_inner_recorder() {
         let mut flight = FlightRecorder::new(crate::SummaryRecorder::new());
         fly(&mut flight, 3, 0);
-        assert_eq!(flight.inner().frames(), 3);
+        assert_eq!(flight.inner().snapshot().frames, 3);
         flight.count(CounterId::FramesProcessed, 3);
         flight.span(StageId::Frame, 1.5, 3);
         flight.observe(HistogramId::FramePrecision, 0.5);
-        let snapshot = flight.into_inner().snapshot();
+        let snapshot = flight.inner().snapshot();
         assert_eq!(snapshot.counter(CounterId::FramesProcessed), 3);
         assert_eq!(snapshot.span(StageId::Frame).calls, 1);
     }

@@ -101,16 +101,6 @@ impl SummaryRecorder {
         }
     }
 
-    /// Frames opened so far.
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-
-    /// Events recorded so far (journaled or not).
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
     /// Freezes the current state into a snapshot.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let mut snap = TelemetrySnapshot::empty();
@@ -313,13 +303,13 @@ mod tests {
         r.observe(HistogramId::FramePrecision, 0.95);
         r.observe(HistogramId::FramePrecision, 0.95);
         let s = r.snapshot();
-        let h = s.histogram(HistogramId::FramePrecision).expect("present");
+        let h = &s.histograms[HistogramId::FramePrecision.name()];
         assert_eq!(h.count, 3);
         assert_eq!(h.counts[0], 1); // <= 0.1
         assert_eq!(h.counts[9], 2); // (0.9, 1.0]
         assert_eq!(h.min, 0.05);
         assert_eq!(h.max, 0.95);
-        assert!((h.mean() - 0.65).abs() < 1e-12);
+        assert!((h.mean_opt().expect("observed") - 0.65).abs() < 1e-12);
     }
 
     #[test]
@@ -327,9 +317,7 @@ mod tests {
         let mut r = SummaryRecorder::new();
         r.observe(HistogramId::ModelLatencySeconds, 99.0);
         let s = r.snapshot();
-        let h = s
-            .histogram(HistogramId::ModelLatencySeconds)
-            .expect("present");
+        let h = &s.histograms[HistogramId::ModelLatencySeconds.name()];
         assert_eq!(*h.counts.last().expect("overflow bucket"), 1);
     }
 

@@ -60,11 +60,6 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Mean observed value, 0 when empty.
-    pub fn mean(&self) -> f64 {
-        self.mean_opt().unwrap_or(0.0)
-    }
-
     /// Mean observed value, `None` when the histogram is empty. The
     /// serialized form renders `None` as JSON `null` — never `NaN`,
     /// which is not valid JSON.
@@ -177,11 +172,6 @@ impl TelemetrySnapshot {
     /// A stage's span total by id.
     pub fn span(&self, id: StageId) -> SpanTotal {
         self.spans.get(id.name()).copied().unwrap_or_default()
-    }
-
-    /// A histogram by id.
-    pub fn histogram(&self, id: HistogramId) -> Option<&HistogramSnapshot> {
-        self.histograms.get(id.name())
     }
 
     /// Serializes the snapshot to pretty-printed, byte-deterministic
@@ -311,7 +301,6 @@ mod tests {
     #[test]
     fn histogram_mean_guards_empty() {
         let h = HistogramSnapshot::empty(HistogramId::FramePrecision);
-        assert_eq!(h.mean(), 0.0);
         assert_eq!(h.mean_opt(), None);
         assert_eq!(h.percentile(0.5), None);
     }

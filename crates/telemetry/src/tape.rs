@@ -52,11 +52,6 @@ impl TapeRecorder {
         self.entries.is_empty()
     }
 
-    /// The captured calls, in recording order.
-    pub fn entries(&self) -> &[TapeEntry] {
-        &self.entries
-    }
-
     /// Replays every captured call, in recording order, into `target`.
     /// Replaying tapes in work-unit index order reproduces the exact
     /// call sequence of a serial run.
@@ -156,14 +151,14 @@ mod tests {
     }
 
     #[test]
-    fn tape_is_enabled_and_inspectable() {
+    fn tape_is_enabled_and_records_each_call() {
         let mut tape = TapeRecorder::new();
         assert!(tape.enabled());
         assert!(tape.is_empty());
         tape.count(CounterId::TilesProcessed, 3);
         assert_eq!(
-            tape.entries(),
-            &[TapeEntry::Count(CounterId::TilesProcessed, 3)]
+            tape.entries,
+            [TapeEntry::Count(CounterId::TilesProcessed, 3)]
         );
     }
 }

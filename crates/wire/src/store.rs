@@ -203,11 +203,6 @@ impl ArtifactStore {
         })
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// The on-disk path of the object with the given digest.
     pub fn object_path(&self, digest: u64) -> PathBuf {
         self.root.join("objects").join(format!("{digest:016x}.bin"))
@@ -280,8 +275,9 @@ pub struct ObjectHealth {
 }
 
 /// A structured store verification: every object's status plus the
-/// store coordinates, sorted by entry name. `inspect` renders this;
-/// `kodan artifacts inspect --telemetry` turns it into counters.
+/// store coordinates, sorted by entry name. `kodan artifacts inspect`
+/// prints it through [`StoreHealth::render`], and its `--telemetry`
+/// flag turns it into counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreHealth {
     /// The deployment target from the manifest.
@@ -377,13 +373,6 @@ pub fn verify(root: &Path) -> Result<StoreHealth, WireError> {
         objects,
         total_bytes: manifest.total_bytes(),
     })
-}
-
-/// Renders a human-readable manifest/section/size/checksum table for a
-/// store directory, verifying each object as it goes (`kodan artifacts
-/// inspect` is a thin wrapper around this).
-pub fn inspect(root: &Path) -> Result<String, WireError> {
-    verify(root).map(|health| health.render(root))
 }
 
 #[cfg(test)]
@@ -492,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn inspect_renders_entries_and_flags_corruption() {
+    fn render_lists_entries_and_flags_corruption() {
         let dir = scratch("wire_store_inspect");
         let store = ArtifactStore::create(&dir).expect("create");
         let good = store.put("good", &seal(KIND_MODEL, b"fine")).expect("put");
@@ -506,7 +495,7 @@ mod tests {
         bytes[17] ^= 0xff;
         fs::write(&path, &bytes).expect("write");
 
-        let table = inspect(&dir).expect("inspect");
+        let table = verify(&dir).expect("verify").render(&dir);
         assert!(table.contains("good"), "table: {table}");
         assert!(table.contains("CORRUPT"), "table: {table}");
         assert!(table.contains("uplink budget"), "table: {table}");

@@ -690,7 +690,8 @@ fn artifacts_inspect_reports_store_health() {
     let report =
         save_artifacts(artifacts, &logic, &dir, &mut NullRecorder).expect("save succeeds");
 
-    let text = kodan_wire::store::inspect(&dir).expect("inspect succeeds");
+    let inspect = |dir: &Path| kodan_wire::store::verify(dir).map(|health| health.render(dir));
+    let text = inspect(&dir).expect("inspect succeeds");
     assert!(text.contains("target orin_agx_15w"), "{text}");
     assert!(text.contains("selection"), "{text}");
     assert!(text.contains("contexts"), "{text}");
@@ -706,7 +707,7 @@ fn artifacts_inspect_reports_store_health() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
     std::fs::write(&object, &bytes).expect("write corrupted object");
-    let text = kodan_wire::store::inspect(&dir).expect("inspect still succeeds");
+    let text = inspect(&dir).expect("inspect still succeeds");
     assert_eq!(
         text.matches("CORRUPT").count(),
         1,
